@@ -193,24 +193,30 @@ def check(d: Derivation, sig: Signature) -> Sequent:
     left to right; within a node the order is well-formedness of the
     node's own parameters, then side conditions, then premise shape.
     """
-    return _check(d, sig, ())
+    return _check(d, sig, (), set())
 
 
 def conclusion(d: Derivation) -> Sequent:
     """The sequent a derivation proves, without signature checks."""
-    return _check(d, None, ())
+    return _check(d, None, (), set())
 
 
-def _check(d: Derivation, sig: Signature | None, path: tuple[int, ...]) -> Sequent:
-    prem = [_check(p, sig, path + (i,)) for i, p in enumerate(d.premises)]
+def _check(
+    d: Derivation, sig: Signature | None, path: tuple[int, ...], formed: set[int]
+) -> Sequent:
+    prem = [_check(p, sig, path + (i,), formed) for i, p in enumerate(d.premises)]
 
     def fail(reason: str, detail: str = "") -> CheckError:
         return CheckError(path, d.rule, reason, detail)
 
     if sig is not None:
         for f in d.formulas:
+            # keyed by id: `d` keeps every formula alive, so no id is reused
+            if id(f) in formed:
+                continue
             if not well_formed(f, sig):
                 raise fail(ILL_FORMED, "parameter formula not well-formed")
+            formed.add(id(f))
         if d.term is not None and not well_formed_term(d.term, sig):
             raise fail(ILL_FORMED, "parameter term not well-formed")
         if d.const is not None and d.const not in sig.constants:
@@ -408,44 +414,63 @@ def load_proof(data: str | dict[str, Any]) -> LoadedProof:
     except (TypeError, ValueError) as e:
         raise ProofFormatError(str(e)) from e
     table = SymbolTable()
-    root = data.get("proof")
-    d = _load_node(root, sig, table, path="proof")
+    d = _Loader(sig, table).node(data.get("proof"), ())
     return LoadedProof(sig, d, table)
 
 
-def _load_node(obj: Any, sig: Signature, table: SymbolTable, path: str) -> Derivation:
-    if not isinstance(obj, dict):
-        raise ProofFormatError(f"{path}: expected an object")
-    rule = obj.get("rule")
-    if rule not in _RULES:
-        raise ProofFormatError(f"{path}: unknown rule tag {rule!r}")
-    _, f_names, extras = _RULES[rule]
-    params = obj.get("params", {})
-    if not isinstance(params, dict):
-        raise ProofFormatError(f"{path}: 'params' must be an object")
+def _where(at: tuple[int, ...]) -> str:
+    return "proof" + "".join(f".premises[{i}]" for i in at)
 
-    def need(key: str) -> Any:
+
+class _Loader:
+    """One proof file's nodes, parsing each distinct formula or term text
+    once; nodes with the same text share one object."""
+
+    def __init__(self, sig: Signature, table: SymbolTable):
+        self.sig = sig
+        self.table = table
+        self.parsed: dict[tuple[Any, str], Any] = {}
+
+    def param(self, params: dict[str, Any], key: str, rule: str, at: tuple[int, ...],
+              parse: Any = None) -> Any:
+        """Parameter `key` as a string, or as parsed by `parse` in the file's
+        signature and table."""
         if key not in params:
-            raise ProofFormatError(f"{path}: {rule} requires parameter {key!r}")
-        return params[key]
+            raise ProofFormatError(f"{_where(at)}: {rule} requires parameter {key!r}")
+        text = params[key]
+        if parse is None:
+            return str(text)
+        if not isinstance(text, str):
+            raise ProofFormatError(f"{_where(at)}: parameter {key!r} must be a string")
+        parsed = self.parsed.get((parse, text))
+        if parsed is None:
+            try:
+                parsed = self.parsed[parse, text] = parse(text, self.sig, self.table)
+            except syntax.ParseError as e:
+                raise ProofFormatError(f"{_where(at)}: {e}") from e
+        return parsed
 
-    try:
+    def node(self, obj: Any, at: tuple[int, ...]) -> Derivation:
+        if not isinstance(obj, dict):
+            raise ProofFormatError(f"{_where(at)}: expected an object")
+        rule = obj.get("rule")
+        if rule not in _RULES:
+            raise ProofFormatError(f"{_where(at)}: unknown rule tag {rule!r}")
+        _, f_names, extras = _RULES[rule]
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ProofFormatError(f"{_where(at)}: 'params' must be an object")
         formulas = tuple(
-            syntax.parse_formula(need(name), sig, table) for name in f_names
+            self.param(params, name, rule, at, syntax.parse_formula) for name in f_names
         )
-        var = table.intern(str(need("x"))) if "var" in extras else None
-        term = syntax.parse_term(need("t"), sig, table) if "term" in extras else None
-    except syntax.ParseError as e:
-        raise ProofFormatError(f"{path}: {e}") from e
-    const = str(need("c")) if "const" in extras else None
-    raw_premises = obj.get("premises", [])
-    if not isinstance(raw_premises, list):
-        raise ProofFormatError(f"{path}: 'premises' must be a list")
-    premises = tuple(
-        _load_node(p, sig, table, f"{path}.premises[{i}]")
-        for i, p in enumerate(raw_premises)
-    )
-    try:
-        return Derivation(rule, formulas, var, term, const, premises)
-    except ValueError as e:
-        raise ProofFormatError(f"{path}: {e}") from e
+        var = self.table.intern(self.param(params, "x", rule, at)) if "var" in extras else None
+        term = self.param(params, "t", rule, at, syntax.parse_term) if "term" in extras else None
+        const = self.param(params, "c", rule, at) if "const" in extras else None
+        raw_premises = obj.get("premises", [])
+        if not isinstance(raw_premises, list):
+            raise ProofFormatError(f"{_where(at)}: 'premises' must be a list")
+        premises = tuple(self.node(p, at + (i,)) for i, p in enumerate(raw_premises))
+        try:
+            return Derivation(rule, formulas, var, term, const, premises)
+        except ValueError as e:
+            raise ProofFormatError(f"{_where(at)}: {e}") from e

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for `decide`: proved), 1 negative result (invalid
 proof, inadequate model, refuted sequent), 2 search exhausted, 64 usage
-errors, 65 parse or file-format errors, 70 internal invariant violations.
+errors, 65 parse or file-format errors and input nested too deep, 70
+internal errors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Any
 from . import calculus, generate, search, semantics, syntax
 from .calculus import CheckError, ProofFormatError
 from .language import Signature, consts_of
-from .semantics import InternalError, ModelFormatError
+from .semantics import ModelFormatError
 from .syntax import ParseError, SymbolTable
 
 EX_USAGE = 64
@@ -64,8 +65,6 @@ def _build_parser() -> _ArgumentParser:
         if name == "decide":
             p.add_argument("--max-depth", type=int, default=8)
             p.add_argument("--max-terms", type=int, default=2)
-            p.add_argument("--single-thread", action="store_true",
-                           help="accepted for compatibility; search is single-threaded")
         p.add_argument("--timeout", type=float, default=None, metavar="SECS")
         p.add_argument("--json", action="store_true", dest="as_json")
 
@@ -332,8 +331,11 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"qrc1: {e}", file=sys.stderr)
         return EX_DATA
-    except InternalError as e:
-        print(f"qrc1: internal error: {e}", file=sys.stderr)
+    except RecursionError:
+        print("qrc1: nesting too deep: input exceeds the recursion limit", file=sys.stderr)
+        return EX_DATA
+    except Exception as e:  # any other escape would exit 1, a verdict
+        print(f"qrc1: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_INTERNAL
 
 

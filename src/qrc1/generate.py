@@ -27,7 +27,6 @@ from typing import Iterator, Sequence
 
 from .language import All, And, Diam, Formula, Const, Pred, Signature, Term, TOP, Var
 from .semantics import (
-    Assignment,
     Model,
     RawFrame,
     RawModel,
@@ -212,14 +211,3 @@ def _random_atom(rng: random.Random, sig: Signature, variables: Sequence[int]) -
         else:
             args.append(Var(rng.choice(list(variables))))
     return Pred(name, tuple(args))
-
-
-def random_assignment(
-    rng: random.Random, m: Model | RawModel, w: int, variables: Sequence[int]
-) -> Assignment:
-    """Random assignment at a world, overriding the given variables."""
-    raw = m.raw if isinstance(m, Model) else m
-    size = raw.frame.domains[w]
-    return Assignment(
-        w, rng.randrange(size), {x: rng.randrange(size) for x in variables}
-    )

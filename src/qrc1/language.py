@@ -11,7 +11,7 @@ different formulas, and no alpha-equivalence is provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 
@@ -103,12 +103,17 @@ class Sequent:
     cons: Formula
 
 
+# entries kept by the `fv` and `freefor` caches, so a long-lived process
+# does not grow with every formula it has ever seen
+_CACHE_SIZE = 4096
+
+
 def fv_term(t: Term) -> frozenset[int]:
     """``{x}`` for a variable, empty for a constant."""
     return frozenset((t.id,)) if isinstance(t, Var) else frozenset()
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def fv(phi: Formula) -> frozenset[int]:
     """Free variables of a formula; a quantifier removes its own variable."""
     if isinstance(phi, Pred):
@@ -156,7 +161,7 @@ def sub(phi: Formula, x: int, t: Term) -> Formula:
     return phi
 
 
-@cache
+@lru_cache(maxsize=_CACHE_SIZE)
 def freefor(phi: Formula, x: int, t: Term) -> bool:
     """True iff substituting ``t`` for ``x`` in ``phi`` captures nothing.
 

@@ -525,3 +525,84 @@ def test_load_proof_rejects_malformed_documents():
             "signature": {"constants": [], "predicates": {}},
             "proof": {"rule": "Refl", "params": {}, "premises": []},
         })
+
+
+def _doc(proof):
+    return {"signature": {"constants": ["c"], "predicates": {"P": 1, "S": 2}}, "proof": proof}
+
+
+def _node(rule, premises=(), **params):
+    return {"rule": rule, "params": params, "premises": list(premises)}
+
+
+def test_repeated_formula_strings_load_to_the_dumped_derivation():
+    from qrc1 import format_sequent
+
+    table = SymbolTable()
+    x, y = table.intern("x"), table.intern("y")
+    phi = Pred("S", (Var(x), Var(y)))
+    leaf = cut(nec(ax_trans(phi)), ax_trans(phi))
+    d = and_intro(cut(leaf, ax_refl(Diam(phi))), cut(leaf, ax_top(Diam(phi))))
+    doc = dump_proof(d, SIG, table)
+    loaded = load_proof(doc)
+    assert loaded.derivation == d
+    assert dump_proof(loaded.derivation, loaded.sig, loaded.table) == doc
+    assert format_sequent(check(loaded.derivation, loaded.sig), loaded.table, loaded.sig) == \
+        format_sequent(check(d, SIG), table, SIG)
+
+
+def test_repeated_formula_strings_load_as_one_object():
+    loaded = load_proof(_doc(_node("AndI", [
+        _node("Refl", phi="<> P(x)"),
+        _node("AllIl", [_node("Refl", phi="<> P(x)")], phi="P(x)", x="x", t="x"),
+    ])))
+    left, right = loaded.derivation.premises
+    assert left.formulas[0] is right.premises[0].formulas[0]
+    assert right.term is not None and right.var == right.term.id
+
+
+def test_load_error_names_the_depth_first_location():
+    from qrc1 import ProofFormatError
+
+    doc = _doc(_node("Cut", [
+        _node("Refl", phi="P(x)"),
+        _node("Nec", [_node("Top", phi="P(x")]),
+    ]))
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(doc)
+    assert str(e.value) == "proof.premises[1].premises[0]: expected ')' (at offset 3)"
+
+    # the bad text occurs twice; the first occurrence depth-first is reported
+    doc = _doc(_node("AndI", [
+        _node("Nec", [_node("Top", phi="P(x")]),
+        _node("Top", phi="P(x"),
+    ]))
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(doc)
+    assert str(e.value) == "proof.premises[0].premises[0]: expected ')' (at offset 3)"
+
+
+def test_load_error_names_the_node_with_the_wrong_premise_count():
+    from qrc1 import ProofFormatError
+
+    doc = _doc(_node("Cut", [
+        _node("Refl", phi="P(x)"),
+        _node("Nec", [_node("Top", phi="P(x)"), _node("Refl", phi="P(x)")]),
+    ]))
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(doc)
+    assert str(e.value) == "proof.premises[1]: Nec takes 1 premise(s), got 2"
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(_doc(_node("Refl", [_node("Top", phi="T")], phi="T")))
+    assert str(e.value) == "proof: Refl takes 0 premise(s), got 1"
+
+
+def test_load_error_for_a_missing_or_non_text_parameter():
+    from qrc1 import ProofFormatError
+
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(_doc(_node("Nec", [_node("AllIr", [_node("Refl")], x="x")])))
+    assert str(e.value) == "proof.premises[0].premises[0]: Refl requires parameter 'phi'"
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(_doc(_node("Nec", [_node("Top", phi=["T"])])))
+    assert str(e.value) == "proof.premises[0]: parameter 'phi' must be a string"

@@ -265,6 +265,48 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "internal error" in err
 
 
+def test_unexpected_exception_exits_70_not_1(capsys, monkeypatch):
+    import qrc1.cli as cli
+
+    def boom(args):
+        raise RuntimeError("wired for the test")
+
+    monkeypatch.setitem(cli._COMMANDS, "check", boom)
+    code, _, err = run(capsys, "check", "whatever.qpf")
+    assert code == 70
+    assert err == "qrc1: internal error: RuntimeError: wired for the test\n"
+
+
+def _nec_chain(depth):
+    # written as text: json.dumps itself overflows on a chain this deep
+    leaf = '{"rule": "Refl", "params": {"phi": "T"}, "premises": []}'
+    node = '{"rule": "Nec", "params": {}, "premises": [' * depth + leaf + "]}" * depth
+    return '{"signature": {"constants": [], "predicates": {}}, "proof": ' + node + "}"
+
+
+def test_deep_proof_file_is_a_data_error(capsys, tmp_path):
+    path = tmp_path / "deep.qpf"
+    path.write_text(_nec_chain(600))
+    code, out, err = run(capsys, "check", str(path), "--json")
+    assert code == 65
+    assert out == ""
+    assert err.startswith("qrc1: nesting too deep") and err.count("\n") == 1
+
+
+def test_moderately_deep_proof_file_checks(capsys, tmp_path):
+    path = tmp_path / "deep.qpf"
+    path.write_text(_nec_chain(300))
+    code, out, _ = run(capsys, "check", str(path), "--json")
+    assert code == 0
+    assert json.loads(out)["sequent"] == "<> " * 300 + "T ~> " + "<> " * 300 + "T"
+
+
+def test_deep_formula_is_a_data_error(capsys):
+    code, _, err = run(capsys, "decide", "<> " * 1500 + "T ~> T")
+    assert code == 65
+    assert err.startswith("qrc1: nesting too deep")
+
+
 def test_parse_error_in_sequent_argument(capsys):
     code, _, err = run(capsys, "decide", "T ~> ")
     assert code == 65

@@ -160,3 +160,12 @@ def test_generalize_inverts_constant_substitution(phi, x):
     target = sub(phi, x, Const("c"))
     if "c" not in consts_of(phi):
         assert sub(generalize(target, Const("c"), fresh), fresh, Const("c")) == target
+
+
+def test_fv_and_freefor_caches_stay_bounded():
+    for i in range(5000):
+        phi = All(i + 1, S(Var(i), Var(i + 1)))
+        assert fv(phi) == {i}
+        assert not freefor(phi, i, Var(i + 1))
+    assert fv.cache_info().currsize <= 4096
+    assert freefor.cache_info().currsize <= 4096
