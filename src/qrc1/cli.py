@@ -141,38 +141,19 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_lines(report: semantics.AdequacyReport) -> list[str]:
-    lines = []
-    for label, good, witness in (
-        ("transitiveR", report.transitive_r, report.transitive_witness),
-        ("etaFunctorial", report.eta_functorial, report.eta_functorial_witness),
-        ("etaIdentity", report.eta_identity, report.eta_identity_witness),
-        ("concordant", report.concordant, report.concordant_witness),
-    ):
-        lines.append(f"{label}: {'ok' if good else f'FAIL witness={witness}'}")
-    lines.append(f"adequate: {'yes' if report.ok else 'no'}")
-    return lines
-
-
 def _cmd_adequate(args: argparse.Namespace) -> int:
     raw = semantics.load_model(_read(args.model))
     report = semantics.check_adequacy(raw)
     if args.as_json:
         print(json.dumps({
-            "transitiveR": report.transitive_r,
-            "etaFunctorial": report.eta_functorial,
-            "etaIdentity": report.eta_identity,
-            "concordant": report.concordant,
-            "witnesses": {
-                "transitiveR": report.transitive_witness,
-                "etaFunctorial": report.eta_functorial_witness,
-                "etaIdentity": report.eta_identity_witness,
-                "concordant": report.concordant_witness,
-            },
+            **{label: good for label, good, _ in report.checks},
+            "witnesses": {label: witness for label, _, witness in report.checks},
             "adequate": report.ok,
         }))
     else:
-        print("\n".join(_report_lines(report)))
+        for label, good, witness in report.checks:
+            print(f"{label}: {'ok' if good else f'FAIL witness={witness}'}")
+        print(f"adequate: {'yes' if report.ok else 'no'}")
     return 0 if report.ok else 1
 
 

@@ -235,14 +235,14 @@ def enumerate_countermodels(
     out)."""
     stop_at = time.monotonic() + bounds.deadline if bounds.deadline else None
     variables = sorted(fv(seq.ante) | fv(seq.cons))
-    for i, raw in enumerate(_candidate_models(sig, seq, bounds)):
+    for raw in _candidate_models(sig, seq, bounds):
         hit = _scan(raw, seq, variables)
         if hit is not None:
             w, g = hit
             model = validate_model(raw)
             _verify_refutation(model, w, g, seq)
             return model, w, g
-        if stop_at is not None and i % 256 == 0 and time.monotonic() > stop_at:
+        if stop_at is not None and time.monotonic() > stop_at:
             return None
     return None
 
@@ -289,7 +289,7 @@ class _ProofSearch:
 
     def tick(self) -> None:
         self.nodes += 1
-        if self.stop_at is not None and self.nodes % 1024 == 0:
+        if self.stop_at is not None and self.nodes % 64 == 0:
             if time.monotonic() > self.stop_at:
                 raise _Deadline
 
@@ -479,7 +479,7 @@ def decide(
                     _verify_refutation(model, w, g, seq)
                     return Refuted(model, w, g)
                 pulled += 1
-                if stop_at is not None and pulled % 256 == 0 and time.monotonic() > stop_at:
+                if stop_at is not None and time.monotonic() > stop_at:
                     return Exhausted("deadline reached")
                 if pulled >= _MODEL_SLICE and not proof_done:
                     exhausted_now = False

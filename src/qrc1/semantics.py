@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Iterable, Mapping
 
 from .language import (
@@ -86,8 +87,13 @@ class RawFrame:
                 if any(not 0 <= v < self.domains[u] for v in row):
                     raise ValueError(f"eta[{w}][{u}] maps outside the target domain")
 
-    def successors(self, w: int) -> tuple[int, ...]:
-        return tuple(u for u in range(self.worlds) if (w, u) in self.rel)
+    @cached_property
+    def succ(self) -> tuple[tuple[int, ...], ...]:
+        """``succ[w]``: the worlds related to w, in ascending order."""
+        rows: list[list[int]] = [[] for _ in range(self.worlds)]
+        for w, u in sorted(self.rel):
+            rows[w].append(u)
+        return tuple(tuple(row) for row in rows)
 
 
 @dataclass(frozen=True)
@@ -161,16 +167,22 @@ class AdequacyReport:
             and self.concordant
         )
 
-    def summary(self) -> str:
-        parts = []
-        for label, good, witness in (
+    @property
+    def checks(self) -> tuple[tuple[str, bool, tuple | None], ...]:
+        """``(label, ok, witness)`` per check, in report order, under the
+        labels `summary` and ``qrc1 adequate`` print."""
+        return (
             ("transitiveR", self.transitive_r, self.transitive_witness),
             ("etaFunctorial", self.eta_functorial, self.eta_functorial_witness),
             ("etaIdentity", self.eta_identity, self.eta_identity_witness),
             ("concordant", self.concordant, self.concordant_witness),
-        ):
-            parts.append(f"{label}={'ok' if good else f'FAIL{witness}'}")
-        return " ".join(parts)
+        )
+
+    def summary(self) -> str:
+        return " ".join(
+            f"{label}={'ok' if good else f'FAIL{witness}'}"
+            for label, good, witness in self.checks
+        )
 
 
 @dataclass(frozen=True)
@@ -210,22 +222,21 @@ def check_adequacy(m: Model | RawModel) -> AdequacyReport:
     """
     raw = _raw(m)
     frame = raw.frame
-    rel = frame.rel
+    rel, succ = frame.rel, frame.succ
+    edges = sorted(rel)
 
     transitive, trans_wit = True, None
-    for w, u in sorted(rel):
-        for u2, v in sorted(rel):
-            if u2 == u and (w, v) not in rel:
+    for w, u in edges:
+        for v in succ[u]:
+            if (w, v) not in rel:
                 transitive, trans_wit = False, (w, u, v)
                 break
         if not transitive:
             break
 
     functorial, func_wit = True, None
-    for w, u in sorted(rel):
-        for u2, v in sorted(rel):
-            if u2 != u:
-                continue
+    for w, u in edges:
+        for v in succ[u]:
             for d in range(frame.domains[w]):
                 if frame.eta[w][v][d] != frame.eta[u][v][frame.eta[w][u][d]]:
                     functorial, func_wit = False, (w, u, v, d)
@@ -245,7 +256,7 @@ def check_adequacy(m: Model | RawModel) -> AdequacyReport:
             break
 
     concordant, conc_wit = True, None
-    for w, u in sorted(rel):
+    for w, u in edges:
         for c in sorted(raw.sig.constants):
             if raw.const_interp[u][c] != frame.eta[w][u][raw.const_interp[w][c]]:
                 concordant, conc_wit = False, (w, u, c)
@@ -369,27 +380,44 @@ def sat(m: Model | RawModel, w: int, g: Assignment, phi: Formula) -> bool:
 
 
 def _sat(raw: RawModel, w: int, g: Assignment, phi: Formula) -> bool:
-    if isinstance(phi, Pred):
+    return _holds(raw, w, g.default, g.overrides, phi)
+
+
+_NO_TUPLES: frozenset[tuple[int, ...]] = frozenset()
+
+
+def _holds(
+    raw: RawModel, w: int, default: int, env: Mapping[int, int], phi: Formula
+) -> bool:
+    """`sat` with the assignment unpacked into its default and overrides,
+    so that no `Assignment` is built per diamond step or quantifier value.
+    A diamond pushes both through ``eta[w][u]`` exactly as `eta_compose`
+    does; a quantifier extends the overrides as `with_value` does."""
+    kind = type(phi)
+    if kind is Pred:
         ci = raw.const_interp[w]
-        tup = tuple(
-            g(a.id) if isinstance(a, Var) else ci[a.name] for a in phi.args
+        tup = tuple([
+            env.get(a.id, default) if type(a) is Var else ci[a.name] for a in phi.args
+        ])
+        return tup in raw.pred_interp[w].get(phi.name, _NO_TUPLES)
+    if kind is And:
+        return _holds(raw, w, default, env, phi.left) and _holds(
+            raw, w, default, env, phi.right
         )
-        return tup in raw.pred_interp[w].get(phi.name, frozenset())
-    if isinstance(phi, And):
-        return _sat(raw, w, g, phi.left) and _sat(raw, w, g, phi.right)
-    if isinstance(phi, Diam):
-        frame = raw.frame
-        for u in range(frame.worlds):
-            if (w, u) in frame.rel and _sat(
-                raw, u, eta_compose(raw, w, u, g), phi.body
-            ):
+    if kind is Diam:
+        body = phi.body
+        eta_w = raw.frame.eta[w]
+        for u in raw.frame.succ[w]:
+            row = eta_w[u]
+            if _holds(raw, u, row[default], {x: row[v] for x, v in env.items()}, body):
                 return True
         return False
-    if isinstance(phi, All):
-        return all(
-            _sat(raw, w, g.with_value(phi.var, d), phi.body)
-            for d in range(raw.frame.domains[w])
-        )
+    if kind is All:
+        x, body = phi.var, phi.body
+        for d in range(raw.frame.domains[w]):
+            if not _holds(raw, w, default, {**env, x: d}, body):
+                return False
+        return True
     return True  # Top
 
 
@@ -417,8 +445,7 @@ def replace_interp(m: Model | RawModel, w: int, c: str, d: int) -> RawModel:
 
 def cone_worlds(m: Model | RawModel, w: int) -> list[int]:
     """The world and its successors, in ascending index order."""
-    raw = _raw(m)
-    return sorted({w} | {u for (a, u) in raw.frame.rel if a == w})
+    return sorted({w, *_raw(m).frame.succ[w]})
 
 
 def restrict_to_cone(m: Model | RawModel, w: int) -> RawModel:

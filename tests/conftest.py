@@ -82,6 +82,34 @@ def two_world_chain(sig: Signature, pred_at_1: dict | None = None) -> RawModel:
     return RawModel(sig, frame, (consts, consts), (empty, at1))
 
 
+def sat_reference(raw: RawModel, w: int, g: Assignment, phi) -> bool:
+    """Oracle for `sat`: the evaluator it replaced, which builds a new
+    `Assignment` per diamond step (`eta_compose`) and per quantifier value
+    (`Assignment.with_value`) and scans every world for successors."""
+    if isinstance(phi, Pred):
+        ci = raw.const_interp[w]
+        tup = tuple(
+            g(a.id) if isinstance(a, Var) else ci[a.name] for a in phi.args
+        )
+        return tup in raw.pred_interp[w].get(phi.name, frozenset())
+    if isinstance(phi, And):
+        return sat_reference(raw, w, g, phi.left) and sat_reference(raw, w, g, phi.right)
+    if isinstance(phi, Diam):
+        frame = raw.frame
+        for u in range(frame.worlds):
+            if (w, u) in frame.rel and sat_reference(
+                raw, u, eta_compose(raw, w, u, g), phi.body
+            ):
+                return True
+        return False
+    if isinstance(phi, All):
+        return all(
+            sat_reference(raw, w, g.with_value(phi.var, d), phi.body)
+            for d in range(raw.frame.domains[w])
+        )
+    return True  # Top
+
+
 def sat_alt(raw: RawModel, w: int, g: Assignment, phi, var_pool: tuple[int, ...]):
     """Independent satisfaction oracle whose universal-quantifier clause
     quantifies over alternative assignments rather than domain elements.

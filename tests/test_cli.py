@@ -148,6 +148,47 @@ def test_adequate_reports_failures_with_witnesses(capsys, tmp_path):
     assert report["witnesses"]["etaIdentity"] == [0, 0]
 
 
+def test_adequate_output_is_pinned(capsys, one_world, tmp_path):
+    from qrc1 import RawFrame, RawModel
+
+    # 0R1R2 without 0R2, eta[0][0] swaps, eta[0][2] != eta[1][2] . eta[0][1],
+    # and c moves from 0 to 1 along 0R1 where eta[0][1] keeps 0: all four fail
+    frame = RawFrame(
+        3, frozenset({(0, 1), (1, 2)}), (2, 2, 2),
+        (((1, 0), (0, 1), (0, 0)), ((0, 1), (0, 1), (1, 1)), ((0, 1), (0, 1), (0, 1))),
+    )
+    raw = RawModel(SIG, frame, ({"c": 0}, {"c": 1}, {"c": 1}), ({}, {}, {}))
+    bad = tmp_path / "bad.qkm"
+    bad.write_text(dumps_model(raw))
+
+    assert run(capsys, "adequate", one_world) == (0, (
+        "transitiveR: ok\n"
+        "etaFunctorial: ok\n"
+        "etaIdentity: ok\n"
+        "concordant: ok\n"
+        "adequate: yes\n"
+    ), "")
+    assert run(capsys, "adequate", one_world, "--json") == (0, (
+        '{"transitiveR": true, "etaFunctorial": true, "etaIdentity": true, '
+        '"concordant": true, "witnesses": {"transitiveR": null, '
+        '"etaFunctorial": null, "etaIdentity": null, "concordant": null}, '
+        '"adequate": true}\n'
+    ), "")
+    assert run(capsys, "adequate", str(bad)) == (1, (
+        "transitiveR: FAIL witness=(0, 1, 2)\n"
+        "etaFunctorial: FAIL witness=(0, 1, 2, 0)\n"
+        "etaIdentity: FAIL witness=(0, 0)\n"
+        "concordant: FAIL witness=(0, 1, 'c')\n"
+        "adequate: no\n"
+    ), "")
+    assert run(capsys, "adequate", str(bad), "--json") == (1, (
+        '{"transitiveR": false, "etaFunctorial": false, "etaIdentity": false, '
+        '"concordant": false, "witnesses": {"transitiveR": [0, 1, 2], '
+        '"etaFunctorial": [0, 1, 2, 0], "etaIdentity": [0, 0], '
+        '"concordant": [0, 1, "c"]}, "adequate": false}\n'
+    ), "")
+
+
 # -- decide ------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import time
 from itertools import islice
 
 from qrc1 import (
@@ -19,6 +20,7 @@ from qrc1 import (
     dump_model,
     dump_proof,
     enumerate_countermodels,
+    parse_problem,
     parse_sequent,
     proof_search,
     sat,
@@ -219,6 +221,33 @@ def test_decide_reports_exhaustion_inside_too_small_bounds():
     )
     assert isinstance(out, Exhausted)
     assert "1 world" in out.reason
+
+
+# a deadline of 0.3 s must be met to within this slack
+DEADLINE_SLACK = 0.1
+
+
+def _elapsed(fn, *args):
+    start = time.monotonic()
+    out = fn(*args)
+    return out, time.monotonic() - start
+
+
+def test_enumeration_returns_at_the_deadline():
+    # valid, so no countermodel: exhausting the default bounds takes ~80 s
+    sig, goal = parse_problem("pred P/1. <> <> P(x) ~> <> P(x)")
+    out, took = _elapsed(enumerate_countermodels, sig, goal, SearchBounds(deadline=0.3))
+    assert out is None
+    assert took < 0.3 + DEADLINE_SLACK
+
+
+def test_decide_returns_at_the_deadline():
+    # valid, but its proof cuts on <> <> Q(x), which is not a subformula, so
+    # proof search fails in milliseconds and countermodel enumeration runs on
+    sig, goal = parse_problem("pred P/1. pred Q/1. <> (P(x) & <> Q(x)) ~> <> Q(x)")
+    out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.3))
+    assert out == Exhausted("deadline reached")
+    assert took < 0.3 + DEADLINE_SLACK
 
 
 def test_decide_is_deterministic():

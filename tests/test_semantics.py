@@ -32,6 +32,7 @@ from qrc1.semantics import InadequateModelError
 from conftest import (
     identity_eta,
     sat_alt,
+    sat_reference,
     single_world_model,
     two_world_chain,
 )
@@ -361,6 +362,85 @@ def test_quantifier_clause_matches_alternative_assignment_clause():
                             g,
                             phi,
                         )
+
+
+# -- agreement with the reference evaluator ------------------------------
+
+
+SSIG = signature(["c"], {"P": 1, "S": 2})
+
+
+def _assignments_over_xy(w, size):
+    """Every default, with x and with y each overridden by every element
+    or left to the default."""
+    for default in range(size):
+        for vx in (None, *range(size)):
+            for vy in (None, *range(size)):
+                pairs = ((X, vx), (Y, vy))
+                yield Assignment(w, default, {v: d for v, d in pairs if d is not None})
+
+
+def _assert_agrees_with_reference(raw, formulas):
+    for phi in formulas:
+        for w in range(raw.frame.worlds):
+            for g in _assignments_over_xy(w, raw.frame.domains[w]):
+                assert sat(raw, w, g, phi) == sat_reference(raw, w, g, phi), (raw, w, g, phi)
+
+
+def test_sat_agrees_with_reference_on_generated_models():
+    rng = random.Random(3)
+    models = generate_models(SSIG, GenBounds(3, 3), seed=17)
+    varying = nontrivial = False
+    for _ in range(80):
+        raw = next(models).raw
+        frame = raw.frame
+        varying |= len(set(frame.domains)) > 1
+        nontrivial |= any(
+            frame.eta[w][u] != tuple(range(frame.domains[w])) for (w, u) in frame.rel
+        )
+        formulas = [random_formula(rng, SSIG, (X, Y), rng.randint(0, 3)) for _ in range(10)]
+        _assert_agrees_with_reference(raw, formulas)
+    assert varying and nontrivial
+
+
+def test_sat_agrees_with_reference_on_inadequate_models():
+    swap, ident2 = (1, 0), (0, 1)
+    models = [
+        # 0R1R2 without 0R2, varying domains, non-identity eta along edges
+        RawFrame(
+            3, frozenset({(0, 1), (1, 2)}), (2, 3, 2),
+            ((ident2, (2, 0), (1, 1)), ((0, 0, 1), (0, 1, 2), (1, 0, 1)), ((1, 1), (2, 2), ident2)),
+        ),
+        # transitive, but eta[0][2] is not eta[1][2] after eta[0][1]
+        RawFrame(
+            3, frozenset({(0, 1), (1, 2), (0, 2)}), (2, 2, 2),
+            ((ident2, swap, (0, 0)), ((0, 0), ident2, ident2), ((0, 0), (0, 0), ident2)),
+        ),
+        # eta[0][0] swaps, and a cycle through world 1 and back
+        RawFrame(
+            2, frozenset({(0, 1), (1, 0), (1, 1)}), (2, 2),
+            ((swap, ident2), (swap, (1, 1))),
+        ),
+    ]
+    rng = random.Random(4)
+    pool = _formula_pool() + [All(X, Diam(Pred("S", (Var(X), Var(Y)))))]
+    for frame in models:
+        n = frame.worlds
+        consts = tuple({"c": w % frame.domains[w]} for w in range(n))
+        preds = tuple(
+            {
+                "P": frozenset({(w % frame.domains[w],)}),
+                "S": frozenset(
+                    (a, b) for a in range(frame.domains[w]) for b in range(frame.domains[w])
+                    if (a + b + w) % 2
+                ),
+            }
+            for w in range(n)
+        )
+        raw = RawModel(SSIG, frame, consts, preds)
+        assert not check_adequacy(raw).ok
+        formulas = pool + [random_formula(rng, SSIG, (X, Y), 3) for _ in range(20)]
+        _assert_agrees_with_reference(raw, formulas)
 
 
 # -- assignment-irrelevance lemmas (randomized smoke; acceptance runs more) --
