@@ -7,6 +7,12 @@ transitive relation.  Candidates are enumerated in a fixed order, by
 increasing (world count, domain size), then relation bitmask, then
 constant values, then predicate-table bitmasks with the rightmost slot
 varying fastest, so any witness found is a reproducible golden output.
+In this class a valuation of the variables is the same at every world,
+so each candidate is checked on world bitmasks: a formula denotes the
+set of worlds where it holds, conjunction is bitwise and, a diamond is a
+lookup in a per-frame table, and a quantifier ands its body's sets over
+the domain.  That check is as untrusted as the rest of search: a hit is
+built as a `RawModel`, validated, and re-verified with `sat`.
 
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
@@ -150,11 +156,14 @@ def soundness_check(
 # -- countermodel enumeration ------------------------------------------
 
 
-def _irreflexive_transitive(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+def _frames(n: int, keep: list) -> Iterator[tuple[frozenset[tuple[int, int]], list[int]]]:
     """All irreflexive transitive relations on n worlds, by ascending
-    bitmask over the off-diagonal pairs in row-major order.  Lazy: the
-    filtering cost between yields stays interruptible for the callers
-    that poll a deadline per candidate."""
+    bitmask over the off-diagonal pairs in row-major order, each with its
+    diamond table: ``diam[s]`` is the set of worlds with a successor in
+    the set ``s``, both as world bitmasks.  Each pair is appended to
+    ``keep`` as it is yielded.  Lazy: the filtering cost between yields
+    stays interruptible for the callers that poll a deadline per
+    candidate."""
     pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
     for mask in range(1 << len(pairs)):
         rel = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
@@ -164,10 +173,31 @@ def _irreflexive_transitive(n: int) -> Iterator[frozenset[tuple[int, int]]]:
             for (b2, c) in rel
             if b2 == b
         ):
-            yield rel
+            before = [0] * n  # before[u]: the worlds related to u
+            for a, b in rel:
+                before[b] |= 1 << a
+            diam = [0] * (1 << n)
+            for s in range(1, 1 << n):
+                low = s & -s
+                diam[s] = diam[s ^ low] | before[low.bit_length() - 1]
+            keep.append((rel, diam))
+            yield rel, diam
 
 
-def _candidate_models(sig: Signature, seq: Sequent, bounds: SearchBounds) -> Iterator[RawModel]:
+def _candidates(
+    sig: Signature, seq: Sequent, bounds: SearchBounds
+) -> Iterator[tuple[RawModel, int, Assignment] | None]:
+    """One item per candidate model, in enumeration order: None, or the
+    model with the first world, then the first valuation of the free
+    variables in `product` order (default element 0), where the
+    antecedent holds and the consequent fails.
+
+    A candidate has a constant domain and identity eta, so a valuation is
+    the same at every world, and a formula under it denotes the set of
+    worlds where it holds: `holds` computes that set as a bitmask.  The
+    predicate tables of a candidate are read off one counter, and a
+    `RawModel` is built only for a hit.
+    """
     pred_names = sorted(
         {f.name for f in chain(subformulas(seq.ante), subformulas(seq.cons))
          if isinstance(f, Pred)}
@@ -175,7 +205,34 @@ def _candidate_models(sig: Signature, seq: Sequent, bounds: SearchBounds) -> Ite
     const_names = sorted(consts_of(seq.ante) | consts_of(seq.cons))
     other_preds = [p for p in sig.predicates if p not in pred_names]
     other_consts = [c for c in sig.constants if c not in const_names]
+    variables = sorted(fv(seq.ante) | fv(seq.cons))
+
+    # reads the current candidate's size, full, diam, cmap and tables
+    def holds(phi: Formula, env: dict[int, int]) -> int:
+        kind = type(phi)
+        if kind is Pred:
+            i = 0  # the index of the argument tuple in `product` order
+            for a in phi.args:
+                i = i * size + (env[a.id] if type(a) is Var else cmap[a.name])
+            return tables[phi.name][i]
+        # each case stops as soon as no world can be left in the set
+        if kind is And:
+            bits = holds(phi.left, env)
+            return bits and bits & holds(phi.right, env)
+        if kind is Diam:
+            return diam[full] and diam[holds(phi.body, env)]
+        if kind is All:
+            bits = full
+            for d in range(size):
+                bits &= holds(phi.body, {**env, phi.var: d})
+                if not bits:
+                    break
+            return bits
+        return full  # Top
+
     for n in range(1, bounds.max_worlds + 1):
+        full = (1 << n) - 1
+        seen: list[tuple[frozenset[tuple[int, int]], list[int]]] = []
         for size in range(1, bounds.max_domain + 1):
             ident = tuple(range(size))
             eta = tuple(tuple(ident for _ in range(n)) for _ in range(n))
@@ -184,34 +241,55 @@ def _candidate_models(sig: Signature, seq: Sequent, bounds: SearchBounds) -> Ite
                 name: tuple(product(range(size), repeat=sig.predicates[name]))
                 for name in pred_names
             }
+            # tables[name][i]: the worlds where pool[i] is in name.  Bit k of
+            # the counter owns one (world, tuple) entry, the last slot taking
+            # the lowest bits, so counting up runs through the tables in
+            # `product` order with the rightmost slot fastest.  Each count
+            # toggles the entries of the bits it flips; the tables start as
+            # all ones, the state just before a count from 0.
             slots = [(w, name) for w in range(n) for name in pred_names]
-            mask_ranges = [range(1 << len(pools[name])) for (_, name) in slots]
-            for rel in _irreflexive_transitive(n):
-                frame = RawFrame(n, rel, domains, eta)
+            tables = {name: [full] * len(pool) for name, pool in pools.items()}
+            owner = [
+                (tables[name], i, 1 << w)
+                for w, name in reversed(slots)
+                for i in range(len(pools[name]))
+            ]
+            last = (1 << len(owner)) - 1
+            # the first size walks the relations lazily and keeps them for the rest
+            for rel, diam in _frames(n, seen) if size == 1 else seen:
                 for cvals in product(range(size), repeat=len(const_names)):
                     cmap = dict(zip(const_names, cvals))
                     cmap.update({c: 0 for c in other_consts})
-                    const_interp = (cmap,) * n
-                    for masks in product(*mask_ranges):
+                    for counter in range(1 << len(owner)):
+                        # counting up flips a run of low bits
+                        for row, i, bit in owner[:(counter ^ last).bit_length()]:
+                            row[i] ^= bit
+                        last = counter
+                        hit: tuple[int, dict[int, int]] | None = None
+                        for values in product(range(size), repeat=len(variables)):
+                            env = dict(zip(variables, values))
+                            bad = holds(seq.ante, env)
+                            if bad:
+                                bad &= ~holds(seq.cons, env)
+                            if bad:
+                                first = (bad & -bad).bit_length() - 1
+                                if hit is None or first < hit[0]:
+                                    hit = (first, env)
+                                    if first == 0:
+                                        break
+                        if hit is None:
+                            yield None
+                            continue
                         preds: list[dict[str, frozenset[tuple[int, ...]]]] = [
                             {p: frozenset() for p in other_preds} for _ in range(n)
                         ]
-                        for (w, name), mask in zip(slots, masks):
-                            pool = pools[name]
+                        for w, name in slots:
                             preds[w][name] = frozenset(
-                                pool[i] for i in range(len(pool)) if mask >> i & 1
+                                t for t, worlds in zip(pools[name], tables[name]) if worlds >> w & 1
                             )
-                        yield RawModel(sig, frame, const_interp, tuple(preds))
-
-
-def _scan(raw: RawModel, seq: Sequent, variables: list[int]) -> tuple[int, Assignment] | None:
-    size = raw.frame.domains[0]
-    for w in range(raw.frame.worlds):
-        for values in product(range(size), repeat=len(variables)):
-            g = Assignment(w, 0, dict(zip(variables, values)))
-            if _sat(raw, w, g, seq.ante) and not _sat(raw, w, g, seq.cons):
-                return w, g
-    return None
+                        frame = RawFrame(n, rel, domains, eta)
+                        raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
+                        yield raw, hit[0], Assignment(hit[0], 0, hit[1])
 
 
 def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> None:
@@ -227,6 +305,16 @@ def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> Non
         raise InternalError("refutation witness does not refute the sequent")
 
 
+def _refutation(
+    hit: tuple[RawModel, int, Assignment], seq: Sequent
+) -> tuple[Model, int, Assignment]:
+    """A hit of `_candidates`, validated and re-verified with `sat`."""
+    raw, w, g = hit
+    model = validate_model(raw)
+    _verify_refutation(model, w, g, seq)
+    return model, w, g
+
+
 def enumerate_countermodels(
     sig: Signature, seq: Sequent, bounds: SearchBounds = SearchBounds()
 ) -> tuple[Model, int, Assignment] | None:
@@ -234,14 +322,9 @@ def enumerate_countermodels(
     order, or None when the bounded space has none (or the deadline ran
     out)."""
     stop_at = time.monotonic() + bounds.deadline if bounds.deadline else None
-    variables = sorted(fv(seq.ante) | fv(seq.cons))
-    for raw in _candidate_models(sig, seq, bounds):
-        hit = _scan(raw, seq, variables)
+    for hit in _candidates(sig, seq, bounds):
         if hit is not None:
-            w, g = hit
-            model = validate_model(raw)
-            _verify_refutation(model, w, g, seq)
-            return model, w, g
+            return _refutation(hit, seq)
         if stop_at is not None and time.monotonic() > stop_at:
             return None
     return None
@@ -448,8 +531,7 @@ def decide(
     """
     stop_at = time.monotonic() + bounds.deadline if bounds.deadline else None
     state = _ProofSearch(seq, sig, bounds, stop_at)
-    candidates = _candidate_models(sig, seq, bounds)
-    variables = sorted(fv(seq.ante) | fv(seq.cons))
+    candidates = _candidates(sig, seq, bounds)
 
     depth = 1
     proof_done = False
@@ -471,13 +553,9 @@ def decide(
         if not models_done:
             pulled = 0
             exhausted_now = True
-            for raw in candidates:
-                hit = _scan(raw, seq, variables)
+            for hit in candidates:
                 if hit is not None:
-                    w, g = hit
-                    model = validate_model(raw)
-                    _verify_refutation(model, w, g, seq)
-                    return Refuted(model, w, g)
+                    return Refuted(*_refutation(hit, seq))
                 pulled += 1
                 if stop_at is not None and time.monotonic() > stop_at:
                     return Exhausted("deadline reached")

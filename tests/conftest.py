@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+from typing import Iterator
 
 import hypothesis.strategies as st
 
@@ -15,6 +16,7 @@ from qrc1 import (
     Pred,
     RawFrame,
     RawModel,
+    Sequent,
     Signature,
     TOP,
     Var,
@@ -23,6 +25,8 @@ from qrc1 import (
     signature,
     xaltern_support,
 )
+from qrc1.language import consts_of, fv, subformulas
+from qrc1.search import SearchBounds, _sat
 
 SIG = signature(["c", "d"], {"P": 1, "S": 2, "R": 0})
 
@@ -148,3 +152,84 @@ def _assignments(w: int, size: int, var_pool: tuple[int, ...]):
     for default in range(size):
         for values in product(range(size), repeat=len(var_pool)):
             yield Assignment(w, default, dict(zip(var_pool, values)))
+
+
+# -- countermodel enumeration oracle ---------------------------------------
+#
+# The enumerator that `search._candidates` replaced, kept verbatim: a
+# `RawModel` per candidate, scanned one world and valuation at a time through
+# `sat`.  `candidates_reference` yields, per candidate, what `_candidates`
+# must yield: None, or the model with its first refuting world and assignment.
+
+
+def _irreflexive_transitive(n: int) -> Iterator[frozenset[tuple[int, int]]]:
+    """All irreflexive transitive relations on n worlds, by ascending
+    bitmask over the off-diagonal pairs in row-major order.  Lazy: the
+    filtering cost between yields stays interruptible for the callers
+    that poll a deadline per candidate."""
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    for mask in range(1 << len(pairs)):
+        rel = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+        if all(
+            (a, c) in rel
+            for (a, b) in rel
+            for (b2, c) in rel
+            if b2 == b
+        ):
+            yield rel
+
+
+def _candidate_models(sig: Signature, seq: Sequent, bounds: SearchBounds) -> Iterator[RawModel]:
+    pred_names = sorted(
+        {f.name for f in chain(subformulas(seq.ante), subformulas(seq.cons))
+         if isinstance(f, Pred)}
+    )
+    const_names = sorted(consts_of(seq.ante) | consts_of(seq.cons))
+    other_preds = [p for p in sig.predicates if p not in pred_names]
+    other_consts = [c for c in sig.constants if c not in const_names]
+    for n in range(1, bounds.max_worlds + 1):
+        for size in range(1, bounds.max_domain + 1):
+            ident = tuple(range(size))
+            eta = tuple(tuple(ident for _ in range(n)) for _ in range(n))
+            domains = (size,) * n
+            pools = {
+                name: tuple(product(range(size), repeat=sig.predicates[name]))
+                for name in pred_names
+            }
+            slots = [(w, name) for w in range(n) for name in pred_names]
+            mask_ranges = [range(1 << len(pools[name])) for (_, name) in slots]
+            for rel in _irreflexive_transitive(n):
+                frame = RawFrame(n, rel, domains, eta)
+                for cvals in product(range(size), repeat=len(const_names)):
+                    cmap = dict(zip(const_names, cvals))
+                    cmap.update({c: 0 for c in other_consts})
+                    const_interp = (cmap,) * n
+                    for masks in product(*mask_ranges):
+                        preds: list[dict[str, frozenset[tuple[int, ...]]]] = [
+                            {p: frozenset() for p in other_preds} for _ in range(n)
+                        ]
+                        for (w, name), mask in zip(slots, masks):
+                            pool = pools[name]
+                            preds[w][name] = frozenset(
+                                pool[i] for i in range(len(pool)) if mask >> i & 1
+                            )
+                        yield RawModel(sig, frame, const_interp, tuple(preds))
+
+
+def _scan(raw: RawModel, seq: Sequent, variables: list[int]) -> tuple[int, Assignment] | None:
+    size = raw.frame.domains[0]
+    for w in range(raw.frame.worlds):
+        for values in product(range(size), repeat=len(variables)):
+            g = Assignment(w, 0, dict(zip(variables, values)))
+            if _sat(raw, w, g, seq.ante) and not _sat(raw, w, g, seq.cons):
+                return w, g
+    return None
+
+
+def candidates_reference(
+    sig: Signature, seq: Sequent, bounds: SearchBounds
+) -> Iterator[tuple[RawModel, int, Assignment] | None]:
+    variables = sorted(fv(seq.ante) | fv(seq.cons))
+    for raw in _candidate_models(sig, seq, bounds):
+        hit = _scan(raw, seq, variables)
+        yield None if hit is None else (raw, *hit)

@@ -1,6 +1,15 @@
+import json
+import os
+import random
+import resource
+import subprocess
+import sys
 import time
 from itertools import islice
 
+from conftest import candidates_reference
+
+import qrc1
 from qrc1 import (
     And,
     Diam,
@@ -27,8 +36,8 @@ from qrc1 import (
     signature,
     soundness_check,
 )
-from qrc1.generate import GenBounds, generate_models
-from qrc1.search import _axiom_leaf
+from qrc1.generate import GenBounds, generate_models, random_formula
+from qrc1.search import _axiom_leaf, _candidates
 
 SIG = signature(["c"], {"P": 1, "Q": 1})
 X = 0
@@ -250,6 +259,28 @@ def test_decide_returns_at_the_deadline():
     assert took < 0.3 + DEADLINE_SLACK
 
 
+def test_decide_meets_its_deadline_under_a_memory_cap():
+    # R/3 at domain 3 has 2**27 tables per world; a regression that builds
+    # their range runs out of the 1 GiB cap and exits 70 instead of taking 5 GB
+    cap = 1 << 30
+    src = os.path.dirname(os.path.dirname(qrc1.__file__))
+    problem = "pred S/2. pred R/3. <> A y . A z . R(x,y,z) ~> <> R(x,x,x) & <> A y . S(y,y)"
+    argv = ["decide", problem, "--json", "--timeout", "0.5", "--max-worlds", "4", "--max-domain", "3"]
+    start = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrc1.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    took = time.monotonic() - start
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"outcome": "Exhausted", "reason": "deadline reached"}
+    assert took < 1.5
+
+
 def test_decide_is_deterministic():
     bounds = SearchBounds()
     first = decide(seq("<> P(x) ~> <> <> P(x)"), SIG, bounds)
@@ -272,29 +303,60 @@ def test_proved_outcomes_dump_with_reserved_constants_declared():
     assert check(loaded.derivation, loaded.sig) is not None
 
 
+BATTERY_SIG = signature(["c"], {"P": 1, "Q": 1, "S": 2})
+BATTERY = [
+    ("<> (P(x) & Q(x)) ~> <> P(x) & <> Q(x)", Proved),
+    ("<> P(x) & <> Q(x) ~> <> (P(x) & Q(x))", Refuted),
+    ("A x . (P(x) & Q(x)) ~> A x . P(x) & A x . Q(x)", Proved),
+    ("A x . P(x) & A x . Q(x) ~> A x . (P(x) & Q(x))", Proved),
+    ("T ~> A x . T", Proved),
+    ("<> A x . P(x) ~> A x . <> P(x)", Proved),
+    ("A x . <> P(x) ~> <> A x . P(x)", Refuted),
+    ("A x . P(x) ~> A y . P(y)", Proved),
+    ("P(c) ~> A x . P(x)", Refuted),
+    ("A x . P(x) ~> P(y)", Proved),
+    ("<> <> <> <> P(x) ~> <> P(x)", Proved),
+    ("S(x, y) ~> S(y, x)", Refuted),
+    ("A x . S(x, x) ~> S(y, y)", Proved),
+    ("P(x) ~> <> P(x)", Refuted),
+]
+
+
 def test_decide_battery_of_valid_and_invalid_sequents():
-    sig = signature(["c"], {"P": 1, "Q": 1, "S": 2})
-    battery = [
-        ("<> (P(x) & Q(x)) ~> <> P(x) & <> Q(x)", Proved),
-        ("<> P(x) & <> Q(x) ~> <> (P(x) & Q(x))", Refuted),
-        ("A x . (P(x) & Q(x)) ~> A x . P(x) & A x . Q(x)", Proved),
-        ("A x . P(x) & A x . Q(x) ~> A x . (P(x) & Q(x))", Proved),
-        ("T ~> A x . T", Proved),
-        ("<> A x . P(x) ~> A x . <> P(x)", Proved),
-        ("A x . <> P(x) ~> <> A x . P(x)", Refuted),
-        ("A x . P(x) ~> A y . P(y)", Proved),
-        ("P(c) ~> A x . P(x)", Refuted),
-        ("A x . P(x) ~> P(y)", Proved),
-        ("<> <> <> <> P(x) ~> <> P(x)", Proved),
-        ("S(x, y) ~> S(y, x)", Refuted),
-        ("A x . S(x, x) ~> S(y, y)", Proved),
-        ("P(x) ~> <> P(x)", Refuted),
-    ]
     bounds = SearchBounds(max_worlds=4, max_domain=3, max_proof_depth=8)
-    for text, expected in battery:
-        goal = parse_sequent(text, sig)
-        out = decide(goal, sig, bounds)
+    for text, expected in BATTERY:
+        goal = parse_sequent(text, BATTERY_SIG)
+        out = decide(goal, BATTERY_SIG, bounds)
         assert isinstance(out, expected), f"{text}: got {type(out).__name__}"
+
+
+def _assert_candidates_agree(sig, goal, bounds):
+    pairs = zip(candidates_reference(sig, goal, bounds), _candidates(sig, goal, bounds), strict=True)
+    for i, (old, new) in enumerate(pairs):
+        where = f"{goal} candidate {i}"
+        if old is None or new is None:
+            assert old is new, where
+            continue
+        assert dump_model(new[0]) == dump_model(old[0]), where
+        assert new[1] == old[1], where
+        assert new[2].default == old[2].default, where
+        assert dict(new[2].overrides) == dict(old[2].overrides), where
+
+
+def test_candidates_agree_with_the_reference_enumerator():
+    # whole candidate spaces of at most a few thousand models each
+    for text, _ in BATTERY:
+        _assert_candidates_agree(BATTERY_SIG, parse_sequent(text, BATTERY_SIG), SearchBounds(2, 2))
+    rng = random.Random(4)
+    for sig, bounds, count in (
+        (signature(["c"], {"P": 1}), SearchBounds(2, 2), 130),
+        (signature([], {"P": 1}), SearchBounds(3, 2), 6),
+        (signature([], {"S": 2}), SearchBounds(2, 2), 10),
+    ):
+        for _ in range(count):
+            ante = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+            cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+            _assert_candidates_agree(sig, Sequent(ante, cons), bounds)
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
