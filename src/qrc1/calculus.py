@@ -27,6 +27,7 @@ from .language import (
     Term,
     TOP,
     Var,
+    consts_of,
     freefor,
     fv,
     generalize,
@@ -346,6 +347,26 @@ def generalize_constant(d: Derivation, x: int, c: str) -> Derivation:
         raise ValueError("premise consequent is not a constant instance")
     step = const_elim(seq.ante, psi, x, c, d)
     return all_intro_right(step, x)
+
+
+def used_signature(sig: Signature, d: Derivation) -> Signature:
+    """`sig` extended with every constant the derivation names, such as
+    the reserved constants proof search introduces."""
+    used: set[str] = set()
+    stack = [d]
+    while stack:
+        node = stack.pop()
+        if node.const is not None:
+            used.add(node.const)
+        for f in node.formulas:
+            used |= consts_of(f)
+        if isinstance(node.term, Const):
+            used.add(node.term.name)
+        stack.extend(node.premises)
+    extra = used - sig.constants
+    if not extra:
+        return sig
+    return Signature(sig.constants | extra, dict(sig.predicates))
 
 
 # -- proof file format -----------------------------------------------

@@ -9,6 +9,7 @@ internal errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -18,7 +19,6 @@ from typing import Any
 
 from . import calculus, generate, search, semantics, syntax
 from .calculus import CheckError, ProofFormatError
-from .language import Signature, consts_of
 from .semantics import ModelFormatError
 from .syntax import ParseError, SymbolTable
 
@@ -34,6 +34,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EX_USAGE)
 
 
+@functools.cache  # one parser per process: `parse_args` keeps no state in it
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(prog="qrc1", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -184,12 +185,12 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
         max_domain=args.max_domain,
         deadline=args.timeout,
     )
-    hit = search.enumerate_countermodels(sig, seq, bounds)
-    if hit is None:
-        msg = "no countermodel within bounds"
-        print(json.dumps({"found": False, "reason": msg}) if args.as_json else msg)
+    outcome = search.refute(sig, seq, bounds)
+    if isinstance(outcome, search.Exhausted):
+        reason = outcome.reason
+        print(json.dumps({"found": False, "reason": reason}) if args.as_json else reason)
         return 2
-    model, world, g = hit
+    model, world, g = outcome.model, outcome.world, outcome.assignment
     if args.as_json:
         print(json.dumps({"found": True, **_witness_json(model, world, g, table)}))
     else:
@@ -211,7 +212,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     outcome = search.decide(seq, sig, bounds)
     if isinstance(outcome, search.Proved):
         proof = calculus.dump_proof(
-            outcome.derivation, _used_signature(sig, outcome.derivation), table
+            outcome.derivation, calculus.used_signature(sig, outcome.derivation), table
         )
         if args.as_json:
             print(json.dumps({"outcome": "Proved", "proof": proof["proof"],
@@ -238,27 +239,6 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     else:
         print(f"Exhausted: {outcome.reason}", file=sys.stderr)
     return 2
-
-
-def _used_signature(sig: Signature, d: calculus.Derivation) -> Signature:
-    """Extend the input signature with the reserved constants the proof used."""
-    used: set[str] = set()
-
-    def walk(node: calculus.Derivation) -> None:
-        if node.const is not None:
-            used.add(node.const)
-        for f in node.formulas:
-            used.update(consts_of(f))
-        if node.term is not None and hasattr(node.term, "name"):
-            used.add(node.term.name)
-        for p in node.premises:
-            walk(p)
-
-    walk(d)
-    extra = used - sig.constants
-    if not extra:
-        return sig
-    return Signature(sig.constants | frozenset(extra), dict(sig.predicates))
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:

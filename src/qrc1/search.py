@@ -122,6 +122,14 @@ class Exhausted:
 SearchOutcome = Proved | Refuted | Exhausted
 
 
+class _Deadline(Exception):
+    pass
+
+
+def _stop_at(bounds: SearchBounds) -> float | None:
+    return time.monotonic() + bounds.deadline if bounds.deadline else None
+
+
 # -- soundness property harness ---------------------------------------
 
 
@@ -185,12 +193,14 @@ def _frames(n: int, keep: list) -> Iterator[tuple[frozenset[tuple[int, int]], li
 
 
 def _candidates(
-    sig: Signature, seq: Sequent, bounds: SearchBounds
+    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None = None
 ) -> Iterator[tuple[RawModel, int, Assignment] | None]:
     """One item per candidate model, in enumeration order: None, or the
     model with the first world, then the first valuation of the free
     variables in `product` order (default element 0), where the
-    antecedent holds and the consequent fails.
+    antecedent holds and the consequent fails.  Raises `_Deadline` once
+    the clock passes `stop_at`, read before every valuation, since one
+    candidate has `size ** len(variables)` of them.
 
     A candidate has a constant domain and identity eta, so a valuation is
     the same at every world, and a formula under it denotes the set of
@@ -267,6 +277,8 @@ def _candidates(
                         last = counter
                         hit: tuple[int, dict[int, int]] | None = None
                         for values in product(range(size), repeat=len(variables)):
+                            if stop_at is not None and time.monotonic() > stop_at:
+                                raise _Deadline
                             env = dict(zip(variables, values))
                             bad = holds(seq.ante, env)
                             if bad:
@@ -305,36 +317,53 @@ def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> Non
         raise InternalError("refutation witness does not refute the sequent")
 
 
-def _refutation(
-    hit: tuple[RawModel, int, Assignment], seq: Sequent
-) -> tuple[Model, int, Assignment]:
+def _refutation(hit: tuple[RawModel, int, Assignment], seq: Sequent) -> Refuted:
     """A hit of `_candidates`, validated and re-verified with `sat`."""
     raw, w, g = hit
     model = validate_model(raw)
     _verify_refutation(model, w, g, seq)
-    return model, w, g
+    return Refuted(model, w, g)
+
+
+def _first_refutation(
+    candidates: Iterator[tuple[RawModel, int, Assignment] | None],
+    seq: Sequent,
+    pause_at: float | None = None,
+) -> Refuted | None:
+    """Pull candidates up to the first hit, or to the end, or (with
+    `pause_at`) until the clock passes it, after at least one candidate."""
+    for hit in candidates:
+        if hit is not None:
+            return _refutation(hit, seq)
+        if pause_at is not None and time.monotonic() > pause_at:
+            break
+    return None
+
+
+def refute(
+    sig: Signature, seq: Sequent, bounds: SearchBounds = SearchBounds()
+) -> Refuted | Exhausted:
+    """The first constant-domain irreflexive countermodel in enumeration
+    order, or Exhausted, saying whether the bounds or the deadline ended
+    the search."""
+    stop_at = _stop_at(bounds)
+    try:
+        found = _first_refutation(_candidates(sig, seq, bounds, stop_at), seq)
+    except _Deadline:
+        return Exhausted("deadline reached")
+    return found or Exhausted("no countermodel within bounds")
 
 
 def enumerate_countermodels(
     sig: Signature, seq: Sequent, bounds: SearchBounds = SearchBounds()
 ) -> tuple[Model, int, Assignment] | None:
-    """First constant-domain irreflexive countermodel in enumeration
-    order, or None when the bounded space has none (or the deadline ran
-    out)."""
-    stop_at = time.monotonic() + bounds.deadline if bounds.deadline else None
-    for hit in _candidates(sig, seq, bounds):
-        if hit is not None:
-            return _refutation(hit, seq)
-        if stop_at is not None and time.monotonic() > stop_at:
-            return None
-    return None
+    """`refute`'s countermodel, world and assignment, or None when the
+    bounded space has none (or the deadline ran out)."""
+    out = refute(sig, seq, bounds)
+    return (out.model, out.world, out.assignment) if isinstance(out, Refuted) else None
 
 
 # -- backward proof search ---------------------------------------------
-
-
-class _Deadline(Exception):
-    pass
 
 
 class _ProofSearch:
@@ -501,8 +530,7 @@ def proof_search(
 ) -> Derivation | None:
     """Iterative-deepening backward search; any result re-checks to the
     goal sequent (under the signature extended with reserved constants)."""
-    stop_at = time.monotonic() + bounds.deadline if bounds.deadline else None
-    state = _ProofSearch(seq, sig, bounds, stop_at)
+    state = _ProofSearch(seq, sig, bounds, _stop_at(bounds))
     for depth in range(1, bounds.max_proof_depth + 1):
         try:
             d = state.dfs(seq.ante, seq.cons, depth, set())
@@ -517,53 +545,37 @@ def proof_search(
 
 # -- the decision procedure --------------------------------------------
 
-_MODEL_SLICE = 512
-
 
 def decide(
     seq: Sequent, sig: Signature, bounds: SearchBounds = SearchBounds()
 ) -> SearchOutcome:
-    """Interleave proof search and countermodel enumeration.
+    """Interleave proof search and countermodel enumeration in equal time.
 
-    Proof depths and batches of candidate models alternate until one side
-    succeeds or both spaces are exhausted within the bounds.  Proved and
-    Refuted outcomes are re-verified before being returned.
+    After each proof depth, candidate models are pulled for as long as
+    that depth took (at least one), so neither side waits on the other
+    for more than the time it spends itself; once the depths are spent,
+    enumeration runs to its end.  Proved and Refuted outcomes are
+    re-verified before being returned.
     """
-    stop_at = time.monotonic() + bounds.deadline if bounds.deadline else None
+    stop_at = _stop_at(bounds)
     state = _ProofSearch(seq, sig, bounds, stop_at)
-    candidates = _candidates(sig, seq, bounds)
-
-    depth = 1
-    proof_done = False
-    models_done = False
-    while not (proof_done and models_done):
-        if stop_at is not None and time.monotonic() > stop_at:
-            return Exhausted("deadline reached")
-        if not proof_done:
-            try:
-                d = state.dfs(seq.ante, seq.cons, depth, set())
-            except _Deadline:
-                return Exhausted("deadline reached")
+    candidates = _candidates(sig, seq, bounds, stop_at)
+    try:
+        for depth in range(1, bounds.max_proof_depth + 1):
+            started = time.monotonic()
+            d = state.dfs(seq.ante, seq.cons, depth, set())
             if d is not None:
                 if check(d, state.sig_ext) != seq:
                     raise InternalError("proof search produced a non-checking derivation")
                 return Proved(d)
-            depth += 1
-            proof_done = depth > bounds.max_proof_depth
-        if not models_done:
-            pulled = 0
-            exhausted_now = True
-            for hit in candidates:
-                if hit is not None:
-                    return Refuted(*_refutation(hit, seq))
-                pulled += 1
-                if stop_at is not None and time.monotonic() > stop_at:
-                    return Exhausted("deadline reached")
-                if pulled >= _MODEL_SLICE and not proof_done:
-                    exhausted_now = False
-                    break
-            models_done = exhausted_now
-    return Exhausted(
+            now = time.monotonic()
+            refuted = _first_refutation(candidates, seq, now + (now - started))
+            if refuted is not None:
+                return refuted
+        refuted = _first_refutation(candidates, seq)
+    except _Deadline:
+        return Exhausted("deadline reached")
+    return refuted or Exhausted(
         f"no proof within depth {bounds.max_proof_depth} and no countermodel "
         f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
     )

@@ -44,6 +44,14 @@ atoms = st.one_of(
     st.builds(lambda a, b: Pred("S", (a, b)), terms, terms),
 )
 
+# valid, and past proof search's reach (its proof cuts on <> <> Q(x)); with
+# 17 free variables one candidate at domain 2 checks 2**17 valuations
+MANY_VARIABLES = (
+    "pred P/1. pred Q/1. pred R/1. <> (P(x) & <> Q(x)) & "
+    + " & ".join(f"R({v})" for v in "abcdefghijklmnop")
+    + " ~> <> Q(x)"
+)
+
 formulas = st.recursive(
     atoms,
     lambda kids: st.one_of(

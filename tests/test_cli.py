@@ -12,7 +12,7 @@ from qrc1 import (
 )
 from qrc1.cli import main
 
-from conftest import single_world_model
+from conftest import MANY_VARIABLES, single_world_model
 
 SIG = signature(["c"], {"P": 1})
 
@@ -273,6 +273,20 @@ def test_countermodel_not_found(capsys):
     assert code == 2
 
 
+def test_countermodel_says_what_ended_the_search(capsys):
+    code, out, _ = run(capsys, "countermodel", MANY_VARIABLES, "--timeout", "0.3")
+    assert (code, out) == (2, "deadline reached\n")
+    code, out, _ = run(capsys, "countermodel", MANY_VARIABLES, "--timeout", "0.3", "--json")
+    assert code == 2
+    assert json.loads(out) == {"found": False, "reason": "deadline reached"}
+    code, out, _ = run(
+        capsys, "countermodel", "pred P/1. <> <> P(x) ~> <> P(x)",
+        "--max-worlds", "2", "--max-domain", "1", "--json",
+    )
+    assert code == 2
+    assert json.loads(out) == {"found": False, "reason": "no countermodel within bounds"}
+
+
 # -- soundness -------------------------------------------------------------
 
 
@@ -291,6 +305,28 @@ def test_usage_error_exit_code(capsys):
     assert main(["decide"]) == 64
     assert main(["no-such-command"]) == 64
     assert main(["sat"]) == 64
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch, trans_proof, one_world):
+    import qrc1.cli as cli
+
+    calls = [
+        ["decide", "T ~> T", "--json"],
+        ["decide", "T ~> T"],
+        ["check", trans_proof],
+        ["adequate", one_world, "--json"],
+        ["--help"],
+        ["decide"],
+    ]
+    cli._build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli._build_parser.cache_info().misses == 1
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, 0, 64]
+    # the second decide prints text although the first one asked for JSON
+    assert reused[1][2] == "Proved\n"
+    assert reused[1][1] == json.dumps(json.loads(reused[1][1]), indent=2) + "\n"
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert [run(capsys, *argv) for argv in calls] == reused
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):

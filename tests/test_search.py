@@ -7,7 +7,7 @@ import sys
 import time
 from itertools import islice
 
-from conftest import candidates_reference
+from conftest import MANY_VARIABLES, candidates_reference
 
 import qrc1
 from qrc1 import (
@@ -32,9 +32,11 @@ from qrc1 import (
     parse_problem,
     parse_sequent,
     proof_search,
+    refute,
     sat,
     signature,
     soundness_check,
+    used_signature,
 )
 from qrc1.generate import GenBounds, generate_models, random_formula
 from qrc1.search import _axiom_leaf, _candidates
@@ -259,6 +261,17 @@ def test_decide_returns_at_the_deadline():
     assert took < 0.3 + DEADLINE_SLACK
 
 
+def test_deadline_is_read_between_the_valuations_of_a_candidate():
+    sig, goal = parse_problem(MANY_VARIABLES)
+    bounds = SearchBounds(deadline=0.3)
+    out, took = _elapsed(decide, goal, sig, bounds)
+    assert out == Exhausted("deadline reached")
+    assert took < 0.3 + DEADLINE_SLACK
+    out, took = _elapsed(enumerate_countermodels, sig, goal, bounds)
+    assert out is None
+    assert took < 0.3 + DEADLINE_SLACK
+
+
 def test_decide_meets_its_deadline_under_a_memory_cap():
     # R/3 at domain 3 has 2**27 tables per world; a regression that builds
     # their range runs out of the 1 GiB cap and exits 70 instead of taking 5 GB
@@ -292,13 +305,12 @@ def test_decide_is_deterministic():
 
 
 def test_proved_outcomes_dump_with_reserved_constants_declared():
-    from qrc1.cli import _used_signature
     from qrc1 import load_proof
 
     goal = seq("P(x) ~> A x . T")
     out = decide(goal, SIG, SearchBounds())
     assert isinstance(out, Proved)
-    doc = dump_proof(out.derivation, _used_signature(SIG, out.derivation))
+    doc = dump_proof(out.derivation, used_signature(SIG, out.derivation))
     loaded = load_proof(doc)
     assert check(loaded.derivation, loaded.sig) is not None
 
@@ -328,6 +340,61 @@ def test_decide_battery_of_valid_and_invalid_sequents():
         goal = parse_sequent(text, BATTERY_SIG)
         out = decide(goal, BATTERY_SIG, bounds)
         assert isinstance(out, expected), f"{text}: got {type(out).__name__}"
+
+
+def test_decide_returns_what_its_two_halves_return():
+    # without a deadline the interleaving changes no certificate: Proved is
+    # proof_search's derivation and Refuted the enumeration's first hit
+    bounds = SearchBounds(max_worlds=2, max_domain=2, max_proof_depth=4)
+    goals = [(BATTERY_SIG, parse_sequent(text, BATTERY_SIG)) for text, _ in BATTERY]
+    goals.append(parse_problem("pred P/1. pred Q/1. <> (P(x) & <> Q(x)) ~> <> Q(x)"))
+    sig = signature(["c"], {"P": 1, "Q": 1})
+    rng = random.Random(5)
+    for _ in range(100):
+        ante = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+        cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+        goals.append((sig, Sequent(ante, cons)))
+    seen = set()
+    for sig, goal in goals:
+        out = decide(goal, sig, bounds)
+        proof = proof_search(goal, sig, bounds)
+        hit = enumerate_countermodels(sig, goal, bounds)
+        seen.add(type(out))
+        if isinstance(out, Proved):
+            assert proof is not None, goal
+            assert dump_proof(out.derivation, used_signature(sig, out.derivation)) == dump_proof(
+                proof, used_signature(sig, proof)
+            ), goal
+        elif isinstance(out, Refuted):
+            assert hit is not None, goal
+            assert dump_model(out.model) == dump_model(hit[0]), goal
+            assert out.world == hit[1], goal
+            assert out.assignment.default == hit[2].default, goal
+            assert dict(out.assignment.overrides) == dict(hit[2].overrides), goal
+        else:
+            assert proof is None and hit is None, goal
+            assert refute(sig, goal, bounds) == Exhausted("no countermodel within bounds")
+    assert seen == {Proved, Refuted, Exhausted}
+
+
+def test_decide_proves_without_waiting_for_a_fixed_enumeration_slice(monkeypatch):
+    # proved at depth 2 (Nec over AndEl): enumeration between depths 1 and 2
+    # lasts as long as depth 1 took, not a fixed count of 512 candidates
+    from qrc1 import search
+
+    real = search._candidates
+    pulled = 0
+
+    def counting(*args):
+        nonlocal pulled
+        for item in real(*args):
+            pulled += 1
+            yield item
+
+    monkeypatch.setattr(search, "_candidates", counting)
+    out = decide(seq("<> (P(x) & Q(x)) ~> <> P(x)"), SIG, SearchBounds())
+    assert isinstance(out, Proved)
+    assert pulled < 512
 
 
 def _assert_candidates_agree(sig, goal, bounds):
