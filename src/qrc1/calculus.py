@@ -6,12 +6,23 @@ checking is syntax-directed with no inference or unification.  `check`
 walks the tree depth-first, left to right, verifying every side condition
 and premise shape, and returns the unique sequent the tree proves.
 
+A tree may share a subtree between several parents, so it is really a
+DAG.  `load_proof` builds one: equal subproofs of a proof file (the same
+rule, parameter objects and premise objects) load as one `Derivation`.
+The kernel concludes each distinct node once, in the post-order of its
+first occurrence, and reports a failure at the path of that occurrence,
+so the verdict and the error are those of the tree written out in full.
+Loading and checking both run on explicit stacks, so neither depends on
+the recursion limit, and both run with the cyclic garbage collector
+paused (`_gc_paused`), since the data they build has no cycles.
+
 The six derived-rule builders at the bottom construct trees out of the
 ten primitive rules only; they never extend the trusted kernel.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -91,7 +102,7 @@ class ProofFormatError(ValueError):
     """Malformed proof file contents."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Derivation:
     rule: str
     formulas: tuple[Formula, ...] = ()
@@ -187,6 +198,35 @@ def const_elim(phi: Formula, psi: Formula, x: int, c: str, premise: Derivation) 
 # -- the checker -----------------------------------------------------
 
 
+class _gc_paused:
+    """Context manager that turns the cyclic garbage collector off for its
+    block and then restores the state the caller had.
+
+    Loading and checking build only acyclic data (JSON values, formulas,
+    derivations, sequents), all freed by reference counting, so a cyclic
+    collection during them walks everything they keep alive and frees next
+    to nothing.  A 10.8k-node proof file keeps ~48k containers alive as it
+    loads.  On the first 30 files of the check-proofs benchmark (seed 1,
+    CPython 3.11), loading and checking ran ~45 collections per file and
+    took 55 ms a file with the collector on, 46 ms with it off.
+
+    A class rather than a `contextlib.contextmanager` generator: leaving
+    the generator allocates a `StopIteration` after the collector is back
+    on, which starts the very collection the pause put off, while every
+    object the block built is still alive.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        self.enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info: object) -> None:
+        if self.enabled:
+            gc.enable()
+
+
 def check(d: Derivation, sig: Signature) -> Sequent:
     """Check a derivation and return the sequent it proves.
 
@@ -194,36 +234,74 @@ def check(d: Derivation, sig: Signature) -> Sequent:
     left to right; within a node the order is well-formedness of the
     node's own parameters, then side conditions, then premise shape.
     """
-    return _check(d, sig, (), set())
+    with _gc_paused():
+        return _check(d, sig)
 
 
 def conclusion(d: Derivation) -> Sequent:
     """The sequent a derivation proves, without signature checks."""
-    return _check(d, None, (), set())
+    with _gc_paused():
+        return _check(d, None)
 
 
-def _check(
-    d: Derivation, sig: Signature | None, path: tuple[int, ...], formed: set[int]
+def _check(d: Derivation, sig: Signature | None) -> Sequent:
+    """Conclude every distinct node of `d` once, in the post-order of its
+    first occurrence, on an explicit stack.
+
+    `todo` holds nodes still to visit; a None entry marks the node below it
+    as one whose premises are being concluded, so the entries just below
+    the Nones are the ancestors of the node at hand.
+    """
+    # both keyed by id: `d` keeps every node and formula alive, so no id is reused
+    done: dict[int, Sequent] = {}
+    formed: set[int] = set()
+    todo: list[Derivation | None] = [d]
+    while todo:
+        node = todo.pop()
+        if node is None:
+            node = todo.pop()
+        elif id(node) in done:
+            continue
+        elif node.premises:
+            todo += (node, None, *node.premises[::-1])
+            continue
+        try:
+            done[id(node)] = _conclude(node, [done[id(p)] for p in node.premises], sig, formed)
+        except CheckError as e:
+            raise CheckError(_path(todo, node), e.rule, e.reason, e.detail) from None
+    return done[id(d)]
+
+
+def _path(todo: list[Derivation | None], node: Derivation) -> tuple[int, ...]:
+    """Premise indices from the root to `node`, read off its ancestors on
+    `_check`'s stack.  Where a premise repeats, the first copy is the one
+    being concluded: the second is visited only once the first is done."""
+    chain = [todo[i - 1] for i, entry in enumerate(todo) if entry is None]
+    chain.append(node)
+    return tuple(
+        next(i for i, p in enumerate(parent.premises) if p is child)
+        for parent, child in zip(chain, chain[1:])
+    )
+
+
+def _conclude(
+    d: Derivation, prem: list[Sequent], sig: Signature | None, formed: set[int]
 ) -> Sequent:
-    prem = [_check(p, sig, path + (i,), formed) for i, p in enumerate(d.premises)]
-
-    def fail(reason: str, detail: str = "") -> CheckError:
-        return CheckError(path, d.rule, reason, detail)
-
+    """The sequent `d` proves from its premises' sequents `prem`; a
+    `CheckError` raised here has an empty path, which `_check` fills in."""
+    rule = d.rule
     if sig is not None:
         for f in d.formulas:
-            # keyed by id: `d` keeps every formula alive, so no id is reused
             if id(f) in formed:
                 continue
             if not well_formed(f, sig):
-                raise fail(ILL_FORMED, "parameter formula not well-formed")
+                raise CheckError((), rule, ILL_FORMED, "parameter formula not well-formed")
             formed.add(id(f))
         if d.term is not None and not well_formed_term(d.term, sig):
-            raise fail(ILL_FORMED, "parameter term not well-formed")
+            raise CheckError((), rule, ILL_FORMED, "parameter term not well-formed")
         if d.const is not None and d.const not in sig.constants:
-            raise fail(ILL_FORMED, f"undeclared constant {d.const!r}")
+            raise CheckError((), rule, ILL_FORMED, f"undeclared constant {d.const!r}")
 
-    rule = d.rule
     if rule == "Top":
         return Sequent(d.formulas[0], TOP)
     if rule == "Refl":
@@ -239,32 +317,36 @@ def _check(
         return Sequent(Diam(Diam(phi)), Diam(phi))
     if rule == "AndI":
         if prem[0].ante != prem[1].ante:
-            raise fail(PREMISE_MISMATCH, "premises have different antecedents")
+            raise CheckError((), rule, PREMISE_MISMATCH, "premises have different antecedents")
         return Sequent(prem[0].ante, And(prem[0].cons, prem[1].cons))
     if rule == "Cut":
         if prem[0].cons != prem[1].ante:
-            raise fail(PREMISE_MISMATCH, "middle formulas differ")
+            raise CheckError((), rule, PREMISE_MISMATCH, "middle formulas differ")
         return Sequent(prem[0].ante, prem[1].cons)
     if rule == "Nec":
         return Sequent(Diam(prem[0].ante), Diam(prem[0].cons))
     if rule == "AllIr":
         if d.var in fv(prem[0].ante):
-            raise fail(VAR_NOT_FRESH, "quantified variable free in the antecedent")
+            raise CheckError((), rule, VAR_NOT_FRESH, "quantified variable free in the antecedent")
         return Sequent(prem[0].ante, All(d.var, prem[0].cons))
     if rule == "AllIl":
         phi = d.formulas[0]
         assert d.var is not None and d.term is not None
         if not freefor(phi, d.var, d.term):
-            raise fail(NOT_FREE_FOR, "term not free for the variable")
+            raise CheckError((), rule, NOT_FREE_FOR, "term not free for the variable")
         if prem[0].ante != sub(phi, d.var, d.term):
-            raise fail(PREMISE_MISMATCH, "premise antecedent is not the instance")
+            raise CheckError((), rule, PREMISE_MISMATCH, "premise antecedent is not the instance")
         return Sequent(All(d.var, phi), prem[0].cons)
     if rule == "TermI":
         assert d.var is not None and d.term is not None
         if not freefor(prem[0].ante, d.var, d.term):
-            raise fail(NOT_FREE_FOR, "term not free for the variable in the antecedent")
+            raise CheckError(
+                (), rule, NOT_FREE_FOR, "term not free for the variable in the antecedent"
+            )
         if not freefor(prem[0].cons, d.var, d.term):
-            raise fail(NOT_FREE_FOR, "term not free for the variable in the consequent")
+            raise CheckError(
+                (), rule, NOT_FREE_FOR, "term not free for the variable in the consequent"
+            )
         return Sequent(
             sub(prem[0].ante, d.var, d.term), sub(prem[0].cons, d.var, d.term)
         )
@@ -272,12 +354,12 @@ def _check(
     phi, psi = d.formulas
     assert d.var is not None and d.const is not None
     if occurs_const(d.const, phi):
-        raise fail(CONST_OCCURS, "constant occurs in the antecedent")
+        raise CheckError((), rule, CONST_OCCURS, "constant occurs in the antecedent")
     if occurs_const(d.const, psi):
-        raise fail(CONST_OCCURS, "constant occurs in the consequent")
+        raise CheckError((), rule, CONST_OCCURS, "constant occurs in the consequent")
     c = Const(d.const)
     if prem[0] != Sequent(sub(phi, d.var, c), sub(psi, d.var, c)):
-        raise fail(PREMISE_MISMATCH, "premise is not the constant instance")
+        raise CheckError((), rule, PREMISE_MISMATCH, "premise is not the constant instance")
     return Sequent(phi, psi)
 
 
@@ -415,83 +497,151 @@ def _dump_node(d: Derivation, sig: Signature, table: SymbolTable) -> dict[str, A
 
 
 def load_proof(data: str | dict[str, Any]) -> LoadedProof:
-    """Parse the JSON proof-file structure; the inverse of `dump_proof`."""
-    if isinstance(data, str):
+    """Parse the JSON proof-file structure; the inverse of `dump_proof`.
+
+    Equal subproofs (the same rule, parameters and premises) load as one
+    shared `Derivation`.
+    """
+    with _gc_paused():
+        if isinstance(data, str):
+            try:
+                data = json.loads(data)
+            except json.JSONDecodeError as e:
+                raise ProofFormatError(f"invalid JSON: {e}") from e
+        if not isinstance(data, dict):
+            raise ProofFormatError("proof file must be a JSON object")
+        sig_obj = data.get("signature")
+        if not isinstance(sig_obj, dict):
+            raise ProofFormatError("missing or malformed 'signature'")
+        constants = sig_obj.get("constants", [])
+        predicates = sig_obj.get("predicates", {})
+        if not isinstance(constants, list) or not isinstance(predicates, dict):
+            raise ProofFormatError("malformed signature declarations")
         try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise ProofFormatError(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ProofFormatError("proof file must be a JSON object")
-    sig_obj = data.get("signature")
-    if not isinstance(sig_obj, dict):
-        raise ProofFormatError("missing or malformed 'signature'")
-    constants = sig_obj.get("constants", [])
-    predicates = sig_obj.get("predicates", {})
-    if not isinstance(constants, list) or not isinstance(predicates, dict):
-        raise ProofFormatError("malformed signature declarations")
-    try:
-        sig = Signature(frozenset(constants), {k: int(v) for k, v in predicates.items()})
-    except (TypeError, ValueError) as e:
-        raise ProofFormatError(str(e)) from e
-    table = SymbolTable()
-    d = _Loader(sig, table).node(data.get("proof"), ())
-    return LoadedProof(sig, d, table)
+            sig = Signature(frozenset(constants), {k: int(v) for k, v in predicates.items()})
+        except (TypeError, ValueError) as e:
+            raise ProofFormatError(str(e)) from e
+        table = SymbolTable()
+        d = _Loader(sig, table).load(data.get("proof"))
+        return LoadedProof(sig, d, table)
 
 
-def _where(at: tuple[int, ...]) -> str:
-    return "proof" + "".join(f".premises[{i}]" for i in at)
+# on `_Loader.load`'s stack: the premises of the innermost open node are built
+_PREMISES_BUILT = object()
 
 
 class _Loader:
-    """One proof file's nodes, parsing each distinct formula or term text
-    once; nodes with the same text share one object."""
+    """One proof file's nodes, read in pre-order on an explicit stack: a
+    node's own parameters are read before its premises, and its premise
+    count is checked after them.  Each distinct formula, term or variable
+    text is parsed once, and nodes with the same rule, parameters and
+    premises share one `Derivation`."""
 
     def __init__(self, sig: Signature, table: SymbolTable):
         self.sig = sig
         self.table = table
-        self.parsed: dict[tuple[Any, str], Any] = {}
+        self.formulas: dict[str, Formula] = {}
+        self.terms: dict[str, Term] = {}
+        self.variables: dict[str, int] = {}
+        # keyed by the ids of parameters and premises; each value keeps them alive
+        self.shared: dict[tuple[Any, ...], Derivation] = {}
+        # loaded nodes not yet taken by their parent
+        self.built: list[Derivation] = []
+        # nodes whose premises are loading: the node's own fields, then the
+        # length of `built` when it was reached, its "base"; a node's index
+        # among its parent's premises is its base minus the parent's
+        self.open: list[tuple[Any, ...]] = []
 
-    def param(self, params: dict[str, Any], key: str, rule: str, at: tuple[int, ...],
-              parse: Any = None) -> Any:
-        """Parameter `key` as a string, or as parsed by `parse` in the file's
-        signature and table."""
-        if key not in params:
-            raise ProofFormatError(f"{_where(at)}: {rule} requires parameter {key!r}")
-        text = params[key]
-        if parse is None:
-            return str(text)
-        if not isinstance(text, str):
-            raise ProofFormatError(f"{_where(at)}: parameter {key!r} must be a string")
-        parsed = self.parsed.get((parse, text))
-        if parsed is None:
-            try:
-                parsed = self.parsed[parse, text] = parse(text, self.sig, self.table)
-            except syntax.ParseError as e:
-                raise ProofFormatError(f"{_where(at)}: {e}") from e
-        return parsed
+    def load(self, root: Any) -> Derivation:
+        todo = [root]
+        built, open_, shared = self.built, self.open, self.shared
+        while todo:
+            obj = todo.pop()
+            if obj is _PREMISES_BUILT:
+                rule, formulas, var, term, const, base = open_.pop()
+                premises = tuple(built[base:])
+                del built[base:]
+            else:
+                rule, formulas, var, term, const, raw_premises = self.node(obj)
+                base = len(built)
+                if raw_premises:
+                    open_.append((rule, formulas, var, term, const, base))
+                    todo.append(_PREMISES_BUILT)
+                    todo += reversed(raw_premises)
+                    continue
+                premises = ()
+            key = (rule, var, id(term), const, *map(id, formulas + premises))
+            d = shared.get(key)
+            if d is None:
+                try:
+                    d = shared[key] = Derivation(rule, formulas, var, term, const, premises)
+                except ValueError as e:
+                    raise ProofFormatError(f"{self.where(base)}: {e}") from e
+            built.append(d)
+        return built[0]
 
-    def node(self, obj: Any, at: tuple[int, ...]) -> Derivation:
+    def where(self, base: int) -> str:
+        """The JSON path of the node with base `base`, below the open nodes."""
+        bases = [entry[-1] for entry in self.open]
+        bases.append(base)
+        return "proof" + "".join(f".premises[{b - a}]" for a, b in zip(bases, bases[1:]))
+
+    def fail(self, message: str) -> ProofFormatError:
+        """An error at the node being read."""
+        return ProofFormatError(f"{self.where(len(self.built))}: {message}")
+
+    def node(self, obj: Any) -> tuple[Any, ...]:
+        """The node's rule and parameters, then its raw premise list."""
         if not isinstance(obj, dict):
-            raise ProofFormatError(f"{_where(at)}: expected an object")
+            raise self.fail("expected an object")
         rule = obj.get("rule")
-        if rule not in _RULES:
-            raise ProofFormatError(f"{_where(at)}: unknown rule tag {rule!r}")
+        if not isinstance(rule, str) or rule not in _RULES:
+            raise self.fail(f"unknown rule tag {rule!r}")
         _, f_names, extras = _RULES[rule]
         params = obj.get("params", {})
         if not isinstance(params, dict):
-            raise ProofFormatError(f"{_where(at)}: 'params' must be an object")
-        formulas = tuple(
-            self.param(params, name, rule, at, syntax.parse_formula) for name in f_names
-        )
-        var = self.table.intern(self.param(params, "x", rule, at)) if "var" in extras else None
-        term = self.param(params, "t", rule, at, syntax.parse_term) if "term" in extras else None
-        const = self.param(params, "c", rule, at) if "const" in extras else None
+            raise self.fail("'params' must be an object")
+        formulas: tuple[Formula, ...] = ()
+        for name in f_names:
+            formulas += (self.parsed(params, name, rule, self.formulas, syntax.parse_formula),)
+        var = self.variable(params, rule) if "var" in extras else None
+        term = const = None
+        if "term" in extras:
+            term = self.parsed(params, "t", rule, self.terms, syntax.parse_term)
+        if "const" in extras:
+            if "c" not in params:
+                raise self.fail(f"{rule} requires parameter 'c'")
+            const = str(params["c"])
         raw_premises = obj.get("premises", [])
         if not isinstance(raw_premises, list):
-            raise ProofFormatError(f"{_where(at)}: 'premises' must be a list")
-        premises = tuple(self.node(p, at + (i,)) for i, p in enumerate(raw_premises))
-        try:
-            return Derivation(rule, formulas, var, term, const, premises)
-        except ValueError as e:
-            raise ProofFormatError(f"{_where(at)}: {e}") from e
+            raise self.fail("'premises' must be a list")
+        return rule, formulas, var, term, const, raw_premises
+
+    def parsed(self, params: dict[str, Any], key: str, rule: str, memo: dict[str, Any],
+               parse: Any) -> Any:
+        """Parameter `key` as parsed by `parse` in the file's signature and
+        table, through `memo`."""
+        text = params.get(key)
+        out = memo.get(text) if isinstance(text, str) else None
+        if out is None:
+            if key not in params:
+                raise self.fail(f"{rule} requires parameter {key!r}")
+            if not isinstance(text, str):
+                raise self.fail(f"parameter {key!r} must be a string")
+            try:
+                out = memo[text] = parse(text, self.sig, self.table)
+            except syntax.ParseError as e:
+                raise self.fail(str(e)) from e
+        return out
+
+    def variable(self, params: dict[str, Any], rule: str) -> int:
+        """Parameter 'x', a name the parser would take as a bound variable."""
+        name = params.get("x")
+        var = self.variables.get(name) if isinstance(name, str) else None
+        if var is None:
+            if "x" not in params:
+                raise self.fail(f"{rule} requires parameter 'x'")
+            if not syntax.is_variable_name(name):
+                raise self.fail("parameter 'x' must be a variable name")
+            var = self.variables[name] = self.table.intern(name)
+        return var

@@ -18,7 +18,7 @@ from itertools import islice
 from typing import Any
 
 from . import calculus, generate, search, semantics, syntax
-from .calculus import CheckError, ProofFormatError
+from .calculus import CheckError, ProofFormatError, _gc_paused
 from .semantics import ModelFormatError
 from .syntax import ParseError, SymbolTable
 
@@ -108,24 +108,26 @@ def _assign_overrides(spec: str, table: SymbolTable) -> dict[int, int]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    loaded = calculus.load_proof(_read(args.proof))
-    try:
-        seq = calculus.check(loaded.derivation, loaded.sig)
-    except CheckError as e:
-        if args.as_json:
-            print(json.dumps({
-                "ok": False,
-                "rule": e.rule,
-                "path": list(e.path),
-                "reason": e.reason,
-                "detail": e.detail,
-            }))
-        else:
-            print(f"check error: {e}")
-        return 1
-    text = syntax.format_sequent(seq, loaded.table, loaded.sig)
-    print(json.dumps({"ok": True, "sequent": text}) if args.as_json else text)
-    return 0
+    # the whole command builds only acyclic data, freed when it returns
+    with _gc_paused():
+        loaded = calculus.load_proof(_read(args.proof))
+        try:
+            seq = calculus.check(loaded.derivation, loaded.sig)
+        except CheckError as e:
+            if args.as_json:
+                print(json.dumps({
+                    "ok": False,
+                    "rule": e.rule,
+                    "path": list(e.path),
+                    "reason": e.reason,
+                    "detail": e.detail,
+                }))
+            else:
+                print(f"check error: {e}")
+            return 1
+        text = syntax.format_sequent(seq, loaded.table, loaded.sig)
+        print(json.dumps({"ok": True, "sequent": text}) if args.as_json else text)
+        return 0
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:

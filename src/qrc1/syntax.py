@@ -44,11 +44,14 @@ from .language import (
 
 _RESERVED = frozenset({"T", "A"})
 
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+_IDENT_RE = re.compile(_IDENT)
+
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
+    rf"""(?P<ws>\s+)
       | (?P<diam><>)
       | (?P<arrow>~>)
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<ident>{_IDENT})
       | (?P<num>[0-9]+)
       | (?P<punct>[()&,./])
     """,
@@ -231,6 +234,16 @@ class _Parser:
         if name in self.sig.constants:
             return Const(name)
         return Var(self.table.intern(name))
+
+
+def is_variable_name(text: object) -> bool:
+    """Whether `text` is one identifier the parser takes as a quantifier's
+    variable: not a reserved word."""
+    return (
+        isinstance(text, str)
+        and _IDENT_RE.fullmatch(text) is not None
+        and text not in _RESERVED
+    )
 
 
 def parse_formula(text: str, sig: Signature, table: SymbolTable | None = None) -> Formula:

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 from itertools import chain, product
-from typing import Iterator
+from typing import Any, Iterator
 
 import hypothesis.strategies as st
 
@@ -14,8 +15,10 @@ from qrc1 import (
     Const,
     Diam,
     Pred,
+    Proved,
     RawFrame,
     RawModel,
+    Refuted,
     Sequent,
     Signature,
     TOP,
@@ -25,7 +28,30 @@ from qrc1 import (
     signature,
     xaltern_support,
 )
-from qrc1.language import consts_of, fv, subformulas
+from qrc1 import syntax
+from qrc1.calculus import (
+    _RULES,
+    CONST_OCCURS,
+    ILL_FORMED,
+    NOT_FREE_FOR,
+    PREMISE_MISMATCH,
+    VAR_NOT_FRESH,
+    CheckError,
+    Derivation,
+    LoadedProof,
+    ProofFormatError,
+)
+from qrc1.language import (
+    consts_of,
+    freefor,
+    fv,
+    occurs_const,
+    sub,
+    subformulas,
+    well_formed,
+    well_formed_term,
+)
+from qrc1.syntax import SymbolTable
 from qrc1.search import SearchBounds, _sat
 
 SIG = signature(["c", "d"], {"P": 1, "S": 2, "R": 0})
@@ -51,6 +77,27 @@ MANY_VARIABLES = (
     + " & ".join(f"R({v})" for v in "abcdefghijklmnop")
     + " ~> <> Q(x)"
 )
+
+# sequents and the outcome `decide` gives them within 4 worlds, 3 elements
+# and proof depth 8
+BATTERY_SIG = signature(["c"], {"P": 1, "Q": 1, "S": 2})
+BATTERY = [
+    ("<> (P(x) & Q(x)) ~> <> P(x) & <> Q(x)", Proved),
+    ("<> P(x) & <> Q(x) ~> <> (P(x) & Q(x))", Refuted),
+    ("A x . (P(x) & Q(x)) ~> A x . P(x) & A x . Q(x)", Proved),
+    ("A x . P(x) & A x . Q(x) ~> A x . (P(x) & Q(x))", Proved),
+    ("T ~> A x . T", Proved),
+    ("<> A x . P(x) ~> A x . <> P(x)", Proved),
+    ("A x . <> P(x) ~> <> A x . P(x)", Refuted),
+    ("A x . P(x) ~> A y . P(y)", Proved),
+    ("P(c) ~> A x . P(x)", Refuted),
+    ("A x . P(x) ~> P(y)", Proved),
+    ("<> <> <> <> P(x) ~> <> P(x)", Proved),
+    ("S(x, y) ~> S(y, x)", Refuted),
+    ("A x . S(x, x) ~> S(y, y)", Proved),
+    ("P(x) ~> <> P(x)", Refuted),
+]
+
 
 formulas = st.recursive(
     atoms,
@@ -241,3 +288,182 @@ def candidates_reference(
     for raw in _candidate_models(sig, seq, bounds):
         hit = _scan(raw, seq, variables)
         yield None if hit is None else (raw, *hit)
+
+
+# -- proof loading and checking oracles -------------------------------------
+#
+# The recursive kernel and loader that `calculus._check` and
+# `calculus._Loader` replaced, kept verbatim: a path tuple and a `fail`
+# closure per node, every node of the tree concluded (repeats included),
+# one `Derivation` per JSON node.  Both recurse, so they serve only inputs
+# a few hundred levels deep.  The loader also takes any JSON value as the
+# variable `x`, through `str`, where `load_proof` now wants a variable name,
+# and fails on a rule tag that cannot be hashed: compare them only on
+# documents without either.
+
+
+def check_reference(d: Derivation, sig: Signature | None) -> Sequent:
+    """Oracle for `check` (and for `conclusion`, with `sig` None)."""
+    return _check(d, sig, (), set())
+
+
+def _check(
+    d: Derivation, sig: Signature | None, path: tuple[int, ...], formed: set[int]
+) -> Sequent:
+    prem = [_check(p, sig, path + (i,), formed) for i, p in enumerate(d.premises)]
+
+    def fail(reason: str, detail: str = "") -> CheckError:
+        return CheckError(path, d.rule, reason, detail)
+
+    if sig is not None:
+        for f in d.formulas:
+            # keyed by id: `d` keeps every formula alive, so no id is reused
+            if id(f) in formed:
+                continue
+            if not well_formed(f, sig):
+                raise fail(ILL_FORMED, "parameter formula not well-formed")
+            formed.add(id(f))
+        if d.term is not None and not well_formed_term(d.term, sig):
+            raise fail(ILL_FORMED, "parameter term not well-formed")
+        if d.const is not None and d.const not in sig.constants:
+            raise fail(ILL_FORMED, f"undeclared constant {d.const!r}")
+
+    rule = d.rule
+    if rule == "Top":
+        return Sequent(d.formulas[0], TOP)
+    if rule == "Refl":
+        return Sequent(d.formulas[0], d.formulas[0])
+    if rule == "AndEl":
+        phi, psi = d.formulas
+        return Sequent(And(phi, psi), phi)
+    if rule == "AndEr":
+        phi, psi = d.formulas
+        return Sequent(And(phi, psi), psi)
+    if rule == "Trans":
+        phi = d.formulas[0]
+        return Sequent(Diam(Diam(phi)), Diam(phi))
+    if rule == "AndI":
+        if prem[0].ante != prem[1].ante:
+            raise fail(PREMISE_MISMATCH, "premises have different antecedents")
+        return Sequent(prem[0].ante, And(prem[0].cons, prem[1].cons))
+    if rule == "Cut":
+        if prem[0].cons != prem[1].ante:
+            raise fail(PREMISE_MISMATCH, "middle formulas differ")
+        return Sequent(prem[0].ante, prem[1].cons)
+    if rule == "Nec":
+        return Sequent(Diam(prem[0].ante), Diam(prem[0].cons))
+    if rule == "AllIr":
+        if d.var in fv(prem[0].ante):
+            raise fail(VAR_NOT_FRESH, "quantified variable free in the antecedent")
+        return Sequent(prem[0].ante, All(d.var, prem[0].cons))
+    if rule == "AllIl":
+        phi = d.formulas[0]
+        assert d.var is not None and d.term is not None
+        if not freefor(phi, d.var, d.term):
+            raise fail(NOT_FREE_FOR, "term not free for the variable")
+        if prem[0].ante != sub(phi, d.var, d.term):
+            raise fail(PREMISE_MISMATCH, "premise antecedent is not the instance")
+        return Sequent(All(d.var, phi), prem[0].cons)
+    if rule == "TermI":
+        assert d.var is not None and d.term is not None
+        if not freefor(prem[0].ante, d.var, d.term):
+            raise fail(NOT_FREE_FOR, "term not free for the variable in the antecedent")
+        if not freefor(prem[0].cons, d.var, d.term):
+            raise fail(NOT_FREE_FOR, "term not free for the variable in the consequent")
+        return Sequent(
+            sub(prem[0].ante, d.var, d.term), sub(prem[0].cons, d.var, d.term)
+        )
+    # ConstE
+    phi, psi = d.formulas
+    assert d.var is not None and d.const is not None
+    if occurs_const(d.const, phi):
+        raise fail(CONST_OCCURS, "constant occurs in the antecedent")
+    if occurs_const(d.const, psi):
+        raise fail(CONST_OCCURS, "constant occurs in the consequent")
+    c = Const(d.const)
+    if prem[0] != Sequent(sub(phi, d.var, c), sub(psi, d.var, c)):
+        raise fail(PREMISE_MISMATCH, "premise is not the constant instance")
+    return Sequent(phi, psi)
+
+
+def load_reference(data: str | dict[str, Any]) -> LoadedProof:
+    """Oracle for `load_proof`."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as e:
+            raise ProofFormatError(f"invalid JSON: {e}") from e
+    if not isinstance(data, dict):
+        raise ProofFormatError("proof file must be a JSON object")
+    sig_obj = data.get("signature")
+    if not isinstance(sig_obj, dict):
+        raise ProofFormatError("missing or malformed 'signature'")
+    constants = sig_obj.get("constants", [])
+    predicates = sig_obj.get("predicates", {})
+    if not isinstance(constants, list) or not isinstance(predicates, dict):
+        raise ProofFormatError("malformed signature declarations")
+    try:
+        sig = Signature(frozenset(constants), {k: int(v) for k, v in predicates.items()})
+    except (TypeError, ValueError) as e:
+        raise ProofFormatError(str(e)) from e
+    table = SymbolTable()
+    d = _Loader(sig, table).node(data.get("proof"), ())
+    return LoadedProof(sig, d, table)
+
+
+def _where(at: tuple[int, ...]) -> str:
+    return "proof" + "".join(f".premises[{i}]" for i in at)
+
+
+class _Loader:
+    """One proof file's nodes, parsing each distinct formula or term text
+    once; nodes with the same text share one object."""
+
+    def __init__(self, sig: Signature, table: SymbolTable):
+        self.sig = sig
+        self.table = table
+        self.parsed: dict[tuple[Any, str], Any] = {}
+
+    def param(self, params: dict[str, Any], key: str, rule: str, at: tuple[int, ...],
+              parse: Any = None) -> Any:
+        """Parameter `key` as a string, or as parsed by `parse` in the file's
+        signature and table."""
+        if key not in params:
+            raise ProofFormatError(f"{_where(at)}: {rule} requires parameter {key!r}")
+        text = params[key]
+        if parse is None:
+            return str(text)
+        if not isinstance(text, str):
+            raise ProofFormatError(f"{_where(at)}: parameter {key!r} must be a string")
+        parsed = self.parsed.get((parse, text))
+        if parsed is None:
+            try:
+                parsed = self.parsed[parse, text] = parse(text, self.sig, self.table)
+            except syntax.ParseError as e:
+                raise ProofFormatError(f"{_where(at)}: {e}") from e
+        return parsed
+
+    def node(self, obj: Any, at: tuple[int, ...]) -> Derivation:
+        if not isinstance(obj, dict):
+            raise ProofFormatError(f"{_where(at)}: expected an object")
+        rule = obj.get("rule")
+        if rule not in _RULES:
+            raise ProofFormatError(f"{_where(at)}: unknown rule tag {rule!r}")
+        _, f_names, extras = _RULES[rule]
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ProofFormatError(f"{_where(at)}: 'params' must be an object")
+        formulas = tuple(
+            self.param(params, name, rule, at, syntax.parse_formula) for name in f_names
+        )
+        var = self.table.intern(self.param(params, "x", rule, at)) if "var" in extras else None
+        term = self.param(params, "t", rule, at, syntax.parse_term) if "term" in extras else None
+        const = self.param(params, "c", rule, at) if "const" in extras else None
+        raw_premises = obj.get("premises", [])
+        if not isinstance(raw_premises, list):
+            raise ProofFormatError(f"{_where(at)}: 'premises' must be a list")
+        premises = tuple(self.node(p, at + (i,)) for i, p in enumerate(raw_premises))
+        try:
+            return Derivation(rule, formulas, var, term, const, premises)
+        except ValueError as e:
+            raise ProofFormatError(f"{_where(at)}: {e}") from e

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qrc1 import (
+    TOP,
     Pred,
     Var,
     ax_trans,
@@ -387,3 +388,55 @@ def test_deep_formula_is_a_data_error(capsys):
 def test_parse_error_in_sequent_argument(capsys):
     code, _, err = run(capsys, "decide", "T ~> ")
     assert code == 65
+
+
+def test_a_variable_parameter_that_is_not_a_name_exits_65(capsys, tmp_path):
+    path = tmp_path / "bad_x.qpf"
+    for value in (7, None, "T"):
+        path.write_text(json.dumps({
+            "signature": {"constants": ["c"], "predicates": {"P": 1}},
+            "proof": {"rule": "AllIr", "params": {"x": value}, "premises": [
+                {"rule": "Top", "params": {"phi": "P(c)"}, "premises": []},
+            ]},
+        }))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (65, "")
+        assert err == "qrc1: proof: parameter 'x' must be a variable name\n"
+
+
+def _wide_proof():
+    """About 5 000 nodes: an `AndI` tree over 1 250 leaves
+    `T ~> A x_i . A x_i+1 . T`, each three nodes."""
+    from qrc1 import all_intro_right, and_intro, ax_top
+
+    level = [
+        all_intro_right(all_intro_right(ax_top(TOP), 2 * i), 2 * i + 1)
+        for i in range(1250)
+    ]
+    while len(level) > 1:
+        pairs = [and_intro(a, b) for a, b in zip(level[::2], level[1::2])]
+        level = pairs + level[len(pairs) * 2:]
+    return level[0]
+
+
+def test_check_runs_no_garbage_collection(capsys, tmp_path):
+    import gc
+
+    path = tmp_path / "wide.qpf"
+    path.write_text(dumps_proof(_wide_proof(), SIG))
+    assert path.read_text().count('"rule"') == 1250 * 3 + 1249
+    gc.collect()
+    starts = []
+
+    def record(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        code = main(["check", str(path), "--json"])
+    finally:
+        gc.callbacks.remove(record)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    assert starts == []

@@ -7,7 +7,7 @@ import sys
 import time
 from itertools import islice
 
-from conftest import MANY_VARIABLES, candidates_reference
+from conftest import BATTERY, BATTERY_SIG, MANY_VARIABLES, candidates_reference
 
 import qrc1
 from qrc1 import (
@@ -313,25 +313,6 @@ def test_proved_outcomes_dump_with_reserved_constants_declared():
     doc = dump_proof(out.derivation, used_signature(SIG, out.derivation))
     loaded = load_proof(doc)
     assert check(loaded.derivation, loaded.sig) is not None
-
-
-BATTERY_SIG = signature(["c"], {"P": 1, "Q": 1, "S": 2})
-BATTERY = [
-    ("<> (P(x) & Q(x)) ~> <> P(x) & <> Q(x)", Proved),
-    ("<> P(x) & <> Q(x) ~> <> (P(x) & Q(x))", Refuted),
-    ("A x . (P(x) & Q(x)) ~> A x . P(x) & A x . Q(x)", Proved),
-    ("A x . P(x) & A x . Q(x) ~> A x . (P(x) & Q(x))", Proved),
-    ("T ~> A x . T", Proved),
-    ("<> A x . P(x) ~> A x . <> P(x)", Proved),
-    ("A x . <> P(x) ~> <> A x . P(x)", Refuted),
-    ("A x . P(x) ~> A y . P(y)", Proved),
-    ("P(c) ~> A x . P(x)", Refuted),
-    ("A x . P(x) ~> P(y)", Proved),
-    ("<> <> <> <> P(x) ~> <> P(x)", Proved),
-    ("S(x, y) ~> S(y, x)", Refuted),
-    ("A x . S(x, x) ~> S(y, y)", Proved),
-    ("P(x) ~> <> P(x)", Refuted),
-]
 
 
 def test_decide_battery_of_valid_and_invalid_sequents():
