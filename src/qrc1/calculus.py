@@ -611,7 +611,9 @@ class _Loader:
         if "const" in extras:
             if "c" not in params:
                 raise self.fail(f"{rule} requires parameter 'c'")
-            const = str(params["c"])
+            const = params["c"]
+            if not syntax.is_name(const):
+                raise self.fail("parameter 'c' must be a constant name")
         raw_premises = obj.get("premises", [])
         if not isinstance(raw_premises, list):
             raise self.fail("'premises' must be a list")
@@ -641,7 +643,7 @@ class _Loader:
         if var is None:
             if "x" not in params:
                 raise self.fail(f"{rule} requires parameter 'x'")
-            if not syntax.is_variable_name(name):
+            if not syntax.is_name(name):
                 raise self.fail("parameter 'x' must be a variable name")
             var = self.variables[name] = self.table.intern(name)
         return var

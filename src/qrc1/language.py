@@ -11,7 +11,6 @@ different formulas, and no alpha-equivalence is provided.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 
@@ -103,28 +102,33 @@ class Sequent:
     cons: Formula
 
 
-# entries kept by the `fv` and `freefor` caches, so a long-lived process
-# does not grow with every formula it has ever seen
-_CACHE_SIZE = 4096
-
-
 def fv_term(t: Term) -> frozenset[int]:
     """``{x}`` for a variable, empty for a constant."""
     return frozenset((t.id,)) if isinstance(t, Var) else frozenset()
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def fv(phi: Formula) -> frozenset[int]:
-    """Free variables of a formula; a quantifier removes its own variable."""
+    """Free variables of a formula; a quantifier removes its own variable.
+
+    Stored on the formula the first time, as an attribute set the way a
+    frozen dataclass sets its own fields, so the answer lives exactly as
+    long as the formula and a repeated call hashes nothing.
+    """
+    out = getattr(phi, "_fv", None)
+    if out is not None:
+        return out
     if isinstance(phi, Pred):
-        return frozenset(a.id for a in phi.args if isinstance(a, Var))
-    if isinstance(phi, And):
-        return fv(phi.left) | fv(phi.right)
-    if isinstance(phi, Diam):
-        return fv(phi.body)
-    if isinstance(phi, All):
-        return fv(phi.body) - {phi.var}
-    return frozenset()
+        out = frozenset(a.id for a in phi.args if isinstance(a, Var))
+    elif isinstance(phi, And):
+        out = fv(phi.left) | fv(phi.right)
+    elif isinstance(phi, Diam):
+        out = fv(phi.body)
+    elif isinstance(phi, All):
+        out = fv(phi.body) - {phi.var}
+    else:
+        out = frozenset()
+    object.__setattr__(phi, "_fv", out)
+    return out
 
 
 def occurs_const(c: str, phi: Formula) -> bool:
@@ -161,7 +165,6 @@ def sub(phi: Formula, x: int, t: Term) -> Formula:
     return phi
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
 def freefor(phi: Formula, x: int, t: Term) -> bool:
     """True iff substituting ``t`` for ``x`` in ``phi`` captures nothing.
 

@@ -14,6 +14,38 @@ lookup in a per-frame table, and a quantifier ands its body's sets over
 the domain.  That check is as untrusted as the rest of search: a hit is
 built as a `RawModel`, validated, and re-verified with `sat`.
 
+Before enumerating, `_no_countermodel` may show that no model of the
+class with at most `max_domain` elements refutes the sequent, whatever
+its world count.  The argument:
+
+- Strictly positive formulas move forward along any map h between two
+  models of the class with the same domain and valuation that is the
+  identity on elements and sends edges to edges and atoms to atoms.  By
+  induction on the formula: an atom by the last clause, a conjunction at
+  once, a diamond's witness u at t goes to the successor h(u) of h(t),
+  and a quantifier ranges over the same elements on both sides.
+- Fix a domain size d and a valuation v of the sequent's free variables
+  and constants.  The antecedent's tree has a root, one fresh child per
+  diamond instance, each quantifier expanded over all d elements, only
+  the atoms the antecedent asserts, and the transitive closure of the
+  edges.  It is a model of the class, and the antecedent holds at its
+  root.
+- Let M refute the sequent at world w under v.  Send the root to w, and
+  each child, made for a diamond whose body holds in M at the image of
+  its parent, to a successor there where that body holds; one exists
+  because the antecedent holds at w.  Each tree edge lands on an edge of
+  M, so each edge of the closure lands on a path, which is an edge by
+  transitivity, and each asserted atom holds in M where it lands.  So
+  the consequent, false at w, is false at the tree's root.
+- Put the other way round: if the consequent holds at the root of every
+  such tree for d = 1 ... max_domain, no countermodel exists within those
+  domain sizes at any world count.  Renaming the elements is an
+  isomorphism, so v is needed only up to relabelling: one valuation per
+  set partition of the names into at most d blocks.
+
+The check yields no certificate; it only lets `decide` and `refute`
+stop enumerating.
+
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
 instantiation terms from the sequent's own terms plus a few fresh
@@ -26,7 +58,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import chain, product
-from typing import Iterable, Iterator
+from typing import Generator, Iterable, Iterator
 
 import random
 
@@ -304,6 +336,136 @@ def _candidates(
                         yield raw, hit[0], Assignment(hit[0], 0, hit[1])
 
 
+def _labellings(k: int, d: int) -> Iterator[list[int]]:
+    """The valuations of k names in d elements up to relabelling: one per
+    set partition of the names into at most d blocks, as restricted
+    growth strings (each name takes an element at most one past the
+    largest so far) in lexicographic order.  The one list is reused."""
+    labels = [0] * k
+    top = [0] * k  # top[i]: the largest of labels[: i + 1]
+    while True:
+        yield labels
+        i = k - 1
+        while i > 0 and (labels[i] == d - 1 or labels[i] > top[i - 1]):
+            i -= 1
+        if i <= 0:
+            return
+        labels[i] += 1
+        top[i] = max(top[i - 1], labels[i])
+        for j in range(i + 1, k):
+            labels[j] = 0
+            top[j] = top[i]
+
+
+_BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags to binary digits
+
+
+def _no_countermodel(
+    seq: Sequent, bounds: SearchBounds, stop_at: float | None
+) -> Generator[None, None, bool]:
+    """Yields None after each valuation and every 64 tree nodes, then
+    returns True when the antecedent's tree shows that no countermodel
+    exists with at most `bounds.max_domain` elements and any number of
+    worlds (see the module docstring), or False at the first domain size
+    and valuation whose tree refutes the sequent.  Raises `_Deadline`
+    once the clock passes `stop_at`, read where it yields and before
+    each diamond of the consequent.
+
+    A tree's worlds are numbered in creation order from the root 0, and
+    `parent[u]` is the world whose diamond made u (-1 for the root), so
+    a tree of W worlds takes O(W) memory.  Variables and constants share
+    one valuation dict, keyed by variable id and by constant name.
+    """
+    names: list[int | str] = [
+        *sorted(fv(seq.ante) | fv(seq.cons)),
+        *sorted(consts_of(seq.ante) | consts_of(seq.cons)),
+    ]
+
+    # the worlds where phi holds; reads the current size, atoms, parent
+    # and full
+    def holds(phi: Formula, env: dict) -> int:
+        kind = type(phi)
+        if kind is Pred:
+            return atoms.get(
+                (phi.name, tuple(env[a.id] if type(a) is Var else env[a.name] for a in phi.args)), 0
+            )
+        if kind is And:
+            bits = holds(phi.left, env)
+            return bits and bits & holds(phi.right, env)
+        if kind is Diam:
+            # the proper ancestors of the worlds in inner, in time linear
+            # in the tree: each is marked once, and a marked world's
+            # ancestors are marked already
+            if stop_at is not None and time.monotonic() > stop_at:
+                raise _Deadline
+            inner = format(holds(phi.body, env), "b")[::-1]
+            marks = bytearray(len(parent))
+            u = inner.find("1")
+            while u >= 0:
+                p = parent[u]
+                while p >= 0 and not marks[p]:
+                    marks[p] = 1
+                    p = parent[p]
+                u = inner.find("1", u + 1)
+            return int(marks[::-1].translate(_BITS), 2)
+        if kind is All:
+            bits = full
+            for e in range(size):
+                bits &= holds(phi.body, {**env, phi.var: e})
+                if not bits:
+                    break
+            return bits
+        return full  # Top
+
+    steps = 0
+    for size in range(1, bounds.max_domain + 1):
+        for labels in _labellings(len(names), size):
+            env = dict(zip(names, labels))
+            atoms: dict[tuple[str, tuple[int, ...]], int] = {}
+            parent = [-1]
+            todo: list[tuple[Formula, int, dict]] = [(seq.ante, 0, env)]
+            while todo:
+                steps += 1
+                if steps % 64 == 0:
+                    if stop_at is not None and time.monotonic() > stop_at:
+                        raise _Deadline
+                    yield None
+                phi, w, local = todo.pop()
+                kind = type(phi)
+                if kind is Pred:
+                    args = tuple(local[a.id] if type(a) is Var else local[a.name] for a in phi.args)
+                    key = (phi.name, args)
+                    atoms[key] = atoms.get(key, 0) | 1 << w
+                elif kind is And:
+                    todo.append((phi.right, w, local))
+                    todo.append((phi.left, w, local))
+                elif kind is Diam:
+                    parent.append(w)
+                    todo.append((phi.body, len(parent) - 1, local))
+                elif kind is All:
+                    todo.extend((phi.body, w, {**local, phi.var: e}) for e in range(size))
+            full = (1 << len(parent)) - 1
+            if not holds(seq.cons, env) & 1:
+                return False
+            if stop_at is not None and time.monotonic() > stop_at:
+                raise _Deadline
+            yield None
+    return True
+
+
+def _verdict(check: Generator[None, None, bool], pause_at: float | None = None) -> bool | None:
+    """Pull the steps of a `_no_countermodel` check to its verdict, or
+    (with `pause_at`) until the clock passes it, after at least one step,
+    and return None then."""
+    try:
+        while True:
+            next(check)
+            if pause_at is not None and time.monotonic() > pause_at:
+                return None
+    except StopIteration as done:
+        return done.value
+
+
 def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> None:
     frame = model.frame
     if any(a == b for (a, b) in frame.rel):
@@ -345,9 +507,12 @@ def refute(
 ) -> Refuted | Exhausted:
     """The first constant-domain irreflexive countermodel in enumeration
     order, or Exhausted, saying whether the bounds or the deadline ended
-    the search."""
+    the search.  Enumeration is skipped when the antecedent's tree shows
+    that the bounds hold no countermodel."""
     stop_at = _stop_at(bounds)
     try:
+        if _verdict(_no_countermodel(seq, bounds, stop_at)):
+            return Exhausted("no countermodel within bounds")
         found = _first_refutation(_candidates(sig, seq, bounds, stop_at), seq)
     except _Deadline:
         return Exhausted("deadline reached")
@@ -551,14 +716,19 @@ def decide(
 ) -> SearchOutcome:
     """Interleave proof search and countermodel enumeration in equal time.
 
-    After each proof depth, candidate models are pulled for as long as
-    that depth took (at least one), so neither side waits on the other
-    for more than the time it spends itself; once the depths are spent,
-    enumeration runs to its end.  Proved and Refuted outcomes are
-    re-verified before being returned.
+    After each proof depth, the antecedent's tree check and then
+    candidate models run for as long as that depth took (at least one
+    step each), so no side waits on the others for more than twice the
+    time it spends itself.  The check drops out once it finishes; when
+    it shows that no countermodel exists, enumeration is dropped too and
+    proof search has the rest of the time.  Once the depths are spent,
+    the check and then enumeration run to their end.  Proved and Refuted
+    outcomes are re-verified before being returned.
     """
     stop_at = _stop_at(bounds)
     state = _ProofSearch(seq, sig, bounds, stop_at)
+    tree = _no_countermodel(seq, bounds, stop_at)
+    clear = None
     candidates = _candidates(sig, seq, bounds, stop_at)
     try:
         for depth in range(1, bounds.max_proof_depth + 1):
@@ -568,11 +738,16 @@ def decide(
                 if check(d, state.sig_ext) != seq:
                     raise InternalError("proof search produced a non-checking derivation")
                 return Proved(d)
-            now = time.monotonic()
-            refuted = _first_refutation(candidates, seq, now + (now - started))
-            if refuted is not None:
-                return refuted
-        refuted = _first_refutation(candidates, seq)
+            took = time.monotonic() - started
+            if clear is None:
+                clear = _verdict(tree, time.monotonic() + took)
+            if not clear:
+                refuted = _first_refutation(candidates, seq, time.monotonic() + took)
+                if refuted is not None:
+                    return refuted
+        if clear is None:
+            clear = _verdict(tree)
+        refuted = None if clear else _first_refutation(candidates, seq)
     except _Deadline:
         return Exhausted("deadline reached")
     return refuted or Exhausted(

@@ -236,9 +236,9 @@ class _Parser:
         return Var(self.table.intern(name))
 
 
-def is_variable_name(text: object) -> bool:
-    """Whether `text` is one identifier the parser takes as a quantifier's
-    variable: not a reserved word."""
+def is_name(text: object) -> bool:
+    """Whether `text` is one identifier the parser takes as a variable or
+    constant name: not a reserved word."""
     return (
         isinstance(text, str)
         and _IDENT_RE.fullmatch(text) is not None

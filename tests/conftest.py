@@ -297,9 +297,9 @@ def candidates_reference(
 # closure per node, every node of the tree concluded (repeats included),
 # one `Derivation` per JSON node.  Both recurse, so they serve only inputs
 # a few hundred levels deep.  The loader also takes any JSON value as the
-# variable `x`, through `str`, where `load_proof` now wants a variable name,
-# and fails on a rule tag that cannot be hashed: compare them only on
-# documents without either.
+# variable `x` or the constant `c`, through `str`, where `load_proof` now
+# wants a name, and fails on a rule tag that cannot be hashed: compare them
+# only on documents without either.
 
 
 def check_reference(d: Derivation, sig: Signature | None) -> Sequent:

@@ -404,6 +404,20 @@ def test_a_variable_parameter_that_is_not_a_name_exits_65(capsys, tmp_path):
         assert err == "qrc1: proof: parameter 'x' must be a variable name\n"
 
 
+def test_a_constant_parameter_that_is_not_a_name_exits_65(capsys, tmp_path):
+    path = tmp_path / "bad_c.qpf"
+    for value in (None, 7, "T", "x y"):
+        path.write_text(json.dumps({
+            "signature": {"constants": ["k"], "predicates": {"P": 1}},
+            "proof": {"rule": "ConstE",
+                      "params": {"phi": "P(x)", "psi": "P(x)", "x": "x", "c": value},
+                      "premises": [{"rule": "Refl", "params": {"phi": "P(k)"}, "premises": []}]},
+        }))
+        code, out, err = run(capsys, "check", str(path))
+        assert (code, out) == (65, "")
+        assert err == "qrc1: proof: parameter 'c' must be a constant name\n"
+
+
 def _wide_proof():
     """About 5 000 nodes: an `AndI` tree over 1 250 leaves
     `T ~> A x_i . A x_i+1 . T`, each three nodes."""

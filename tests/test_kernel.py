@@ -265,6 +265,31 @@ def test_a_variable_name_loads():
         assert format_sequent(seq, loaded.table, loaded.sig) == f"P(c) ~> A {name} . T"
 
 
+def _with_c(value):
+    return {
+        "signature": {"constants": ["k"], "predicates": {"P": 1}},
+        "proof": {"rule": "ConstE", "params": {"phi": "P(x)", "psi": "P(x)", "x": "x", "c": value},
+                  "premises": [{"rule": "Refl", "params": {"phi": "P(k)"}, "premises": []}]},
+    }
+
+
+@pytest.mark.parametrize("value", [None, 7, "T", "x y", "", ["k"]])
+def test_the_constant_parameter_must_be_a_constant_name(value):
+    with pytest.raises(ProofFormatError) as e:
+        load_proof(_with_c(value))
+    assert str(e.value) == "proof: parameter 'c' must be a constant name"
+
+
+def test_a_constant_name_loads_and_an_undeclared_one_is_ill_formed():
+    loaded = load_proof(_with_c("k"))
+    seq = check(loaded.derivation, loaded.sig)
+    assert format_sequent(seq, loaded.table, loaded.sig) == "P(x) ~> P(x)"
+    loaded = load_proof(_with_c("j"))
+    with pytest.raises(CheckError) as e:
+        check(loaded.derivation, loaded.sig)
+    assert e.value.detail == "undeclared constant 'j'"
+
+
 def test_a_rule_tag_that_is_not_a_string_is_a_format_error():
     for rule in ([], {}, 3, None):
         with pytest.raises(ProofFormatError) as e:

@@ -1,3 +1,5 @@
+import weakref
+
 from hypothesis import given
 
 from qrc1 import (
@@ -162,10 +164,20 @@ def test_generalize_inverts_constant_substitution(phi, x):
         assert sub(generalize(target, Const("c"), fresh), fresh, Const("c")) == target
 
 
-def test_fv_and_freefor_caches_stay_bounded():
-    for i in range(5000):
-        phi = All(i + 1, S(Var(i), Var(i + 1)))
-        assert fv(phi) == {i}
-        assert not freefor(phi, i, Var(i + 1))
-    assert fv.cache_info().currsize <= 4096
-    assert freefor.cache_info().currsize <= 4096
+def test_fv_and_freefor_keep_no_formula_alive():
+    # fv is stored on the formula itself, so nothing outside it holds the
+    # formula once the caller drops it
+    phi = All(Y, S(Var(X), Var(Y)))
+    assert fv(phi) == {X}
+    assert not freefor(phi, X, Var(Y))
+    assert fv(phi) == {X}  # the stored answer
+    refs = [weakref.ref(phi), weakref.ref(phi.body)]
+    del phi
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_stored_free_variables_leave_equality_and_hashing_alone():
+    phi, psi = And(P(Var(X)), TOP), And(P(Var(X)), TOP)
+    fv(phi)
+    assert phi == psi and hash(phi) == hash(psi)
+    assert repr(phi) == repr(psi)

@@ -7,6 +7,8 @@ import sys
 import time
 from itertools import islice
 
+import pytest
+
 from conftest import BATTERY, BATTERY_SIG, MANY_VARIABLES, candidates_reference
 
 import qrc1
@@ -39,7 +41,14 @@ from qrc1 import (
     used_signature,
 )
 from qrc1.generate import GenBounds, generate_models, random_formula
-from qrc1.search import _axiom_leaf, _candidates
+from qrc1.search import (
+    _Deadline,
+    _axiom_leaf,
+    _candidates,
+    _first_refutation,
+    _no_countermodel,
+    _verdict,
+)
 
 SIG = signature(["c"], {"P": 1, "Q": 1})
 X = 0
@@ -245,20 +254,39 @@ def _elapsed(fn, *args):
 
 
 def test_enumeration_returns_at_the_deadline():
-    # valid, so no countermodel: exhausting the default bounds takes ~80 s
-    sig, goal = parse_problem("pred P/1. <> <> P(x) ~> <> P(x)")
+    # the antecedent needs a chain of six worlds, so its tree refutes the
+    # sequent but the default four worlds hold no countermodel: exhausting
+    # them takes seconds
+    sig, goal = parse_problem("pred Q/1. <> <> <> <> <> T ~> Q(x)")
     out, took = _elapsed(enumerate_countermodels, sig, goal, SearchBounds(deadline=0.3))
     assert out is None
     assert took < 0.3 + DEADLINE_SLACK
+    # the deadline, not the bounds, ended it
+    assert refute(sig, goal, SearchBounds(deadline=0.3)) == Exhausted("deadline reached")
 
 
 def test_decide_returns_at_the_deadline():
-    # valid, but its proof cuts on <> <> Q(x), which is not a subformula, so
-    # proof search fails in milliseconds and countermodel enumeration runs on
-    sig, goal = parse_problem("pred P/1. pred Q/1. <> (P(x) & <> Q(x)) ~> <> Q(x)")
+    # valid and past proof search's reach, and with 17 names the tree check
+    # walks millions of valuations at domain 3
+    sig, goal = parse_problem(MANY_VARIABLES)
     out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.3))
     assert out == Exhausted("deadline reached")
     assert took < 0.3 + DEADLINE_SLACK
+
+
+def test_decide_answers_a_valid_sequent_past_proof_search_by_bounds():
+    # valid, but its proof cuts on <> <> Q(x), which is not a subformula, so
+    # proof search fails in milliseconds; the antecedent's tree shows that
+    # no countermodel exists, so decide does not wait for the deadline
+    sig, goal = parse_problem("pred P/1. pred Q/1. <> (P(x) & <> Q(x)) ~> <> Q(x)")
+    out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=10.0))
+    assert out == Exhausted(
+        "no proof within depth 8 and no countermodel within 4 world(s) and 3 element(s)"
+    )
+    assert took < 0.1
+    assert refute(sig, goal, SearchBounds(deadline=10.0)) == Exhausted(
+        "no countermodel within bounds"
+    )
 
 
 def test_deadline_is_read_between_the_valuations_of_a_candidate():
@@ -270,17 +298,28 @@ def test_deadline_is_read_between_the_valuations_of_a_candidate():
     out, took = _elapsed(enumerate_countermodels, sig, goal, bounds)
     assert out is None
     assert took < 0.3 + DEADLINE_SLACK
-
-
-def test_decide_meets_its_deadline_under_a_memory_cap():
-    # R/3 at domain 3 has 2**27 tables per world; a regression that builds
-    # their range runs out of the 1 GiB cap and exits 70 instead of taking 5 GB
-    cap = 1 << 30
-    src = os.path.dirname(os.path.dirname(qrc1.__file__))
-    problem = "pred S/2. pred R/3. <> A y . A z . R(x,y,z) ~> <> R(x,x,x) & <> A y . S(y,y)"
-    argv = ["decide", problem, "--json", "--timeout", "0.5", "--max-worlds", "4", "--max-domain", "3"]
+    # the enumeration alone, past the tree check: one candidate at domain 2
+    # has 2**17 valuations
     start = time.monotonic()
-    proc = subprocess.run(
+    with pytest.raises(_Deadline):
+        _first_refutation(_candidates(sig, goal, bounds, start + 0.3), goal)
+    assert time.monotonic() - start < 0.3 + DEADLINE_SLACK
+
+
+def test_tree_check_takes_turns_with_proof_search():
+    # provable at depth 2 (AndI over two Refl), and with 12 names the tree
+    # check walks ~90k valuations, seconds of work on a valid sequent: it
+    # gets no more time than proof search's depth 1 took before depth 2 runs
+    conj = " & ".join(f"R({v})" for v in "abcdefghijkl")
+    sig, goal = parse_problem(f"pred R/1. {conj} ~> ({conj}) & ({conj})")
+    out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.3))
+    assert isinstance(out, Proved)
+    assert took < 0.3
+
+
+def _run_capped(argv, cap):
+    src = os.path.dirname(os.path.dirname(qrc1.__file__))
+    return subprocess.run(
         [sys.executable, "-m", "qrc1.cli", *argv],
         env={**os.environ, "PYTHONPATH": src},
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
@@ -288,6 +327,33 @@ def test_decide_meets_its_deadline_under_a_memory_cap():
         text=True,
         timeout=30,
     )
+
+
+def test_tree_check_meets_its_deadline_under_a_memory_cap():
+    # the antecedent's tree at domain 3 has ~7M worlds; with one bitmask
+    # of its ancestors per world, the part built in a second takes ~0.5 GB
+    # and exits 70 under the 256 MiB cap, where a parent index per world
+    # takes ~30 MB
+    nested = "T"
+    for v in reversed("abcdefghijklmn"):
+        nested = f"A {v} . <> {nested}"
+    # the consequent holds at the root of every tree, so the check runs on
+    argv = ["countermodel", f"{nested} ~> <> T", "--json", "--timeout", "1.0"]
+    start = time.monotonic()
+    proc = _run_capped(argv, 1 << 28)
+    took = time.monotonic() - start
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stdout) == {"found": False, "reason": "deadline reached"}
+    assert took < 2.0
+
+
+def test_decide_meets_its_deadline_under_a_memory_cap():
+    # R/3 at domain 3 has 2**27 tables per world; a regression that builds
+    # their range runs out of the 1 GiB cap and exits 70 instead of taking 5 GB
+    problem = "pred S/2. pred R/3. <> A y . A z . R(x,y,z) ~> <> R(x,x,x) & <> A y . S(y,y)"
+    argv = ["decide", problem, "--json", "--timeout", "0.5", "--max-worlds", "4", "--max-domain", "3"]
+    start = time.monotonic()
+    proc = _run_capped(argv, 1 << 30)
     took = time.monotonic() - start
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout) == {"outcome": "Exhausted", "reason": "deadline reached"}
@@ -405,6 +471,44 @@ def test_candidates_agree_with_the_reference_enumerator():
             ante = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             _assert_candidates_agree(sig, Sequent(ante, cons), bounds)
+
+
+def _reference_hit(sig, goal, bounds):
+    return any(hit is not None for hit in candidates_reference(sig, goal, bounds))
+
+
+def test_no_countermodel_agrees_with_the_reference_enumerator():
+    # the tree check may refute where the reference cannot, with a witness
+    # past its world bound, but never clears a sequent the reference refutes
+    futile = hit = 0
+    checked = [(BATTERY_SIG, parse_sequent(text, BATTERY_SIG), SearchBounds(2, 2))
+               for text, _ in BATTERY]
+    rng = random.Random(6)
+    for sig, bounds, count in (
+        (signature(["c"], {"P": 1, "Q": 1}), SearchBounds(2, 2), 120),
+        (signature(["c"], {"P": 1}), SearchBounds(3, 2), 30),
+    ):
+        for _ in range(count):
+            ante = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+            cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+            checked.append((sig, Sequent(ante, cons), bounds))
+    for sig, goal, bounds in checked:
+        clear = _verdict(_no_countermodel(goal, bounds, None))
+        refuted = _reference_hit(sig, goal, bounds)
+        assert not (clear and refuted), goal
+        futile += clear
+        hit += refuted
+    assert futile > 20 and hit > 20
+
+
+def test_no_countermodel_checks_every_domain_size():
+    # refuted only with two elements (and three worlds): a bound that skips
+    # domain 2 clears it
+    sig = signature([], {"P": 1})
+    goal = parse_sequent("A x . <> P(x) ~> <> A x . P(x)", sig)
+    one, two = SearchBounds(3, 1), SearchBounds(3, 2)
+    assert _verdict(_no_countermodel(goal, one, None)) and not _reference_hit(sig, goal, one)
+    assert not _verdict(_no_countermodel(goal, two, None)) and _reference_hit(sig, goal, two)
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
