@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain, count, islice, product
 from typing import Generator, Iterable, Iterator
 
 import random
@@ -78,6 +78,7 @@ from .calculus import (
     cut as cut_rule,
     nec,
     term_inst,
+    used_signature,
 )
 from .language import (
     All,
@@ -532,37 +533,30 @@ def enumerate_countermodels(
 
 
 class _ProofSearch:
+    """Instantiation terms and reserved constants are drawn lazily, in
+    order, so a large bound costs nothing until search gets that far."""
+
     def __init__(self, seq: Sequent, sig: Signature, bounds: SearchBounds, stop_at: float | None):
+        self.sig = sig
         self.bounds = bounds
         self.stop_at = stop_at
         self.nodes = 0
         self.memo: dict[tuple[Formula, Formula], int] = {}
+        self.used_vars = all_vars(seq.ante) | all_vars(seq.cons)
+        # the sequent's own terms, each once, in order of first occurrence
+        self.terms = list(dict.fromkeys(chain(terms_of(seq.ante), terms_of(seq.cons))))
 
-        used_vars = all_vars(seq.ante) | all_vars(seq.cons)
-        fresh: list[Term] = []
-        v = 0
-        while len(fresh) < bounds.max_candidate_terms:
-            if v not in used_vars:
-                fresh.append(Var(v))
-            v += 1
-        seen: set[Term] = set()
-        pool: list[Term] = []
-        for t in chain(terms_of(seq.ante), terms_of(seq.cons)):
-            if t not in seen:
-                seen.add(t)
-                pool.append(t)
-        self.candidates: tuple[Term, ...] = tuple(pool + fresh)
+    def candidates(self) -> Iterator[Term]:
+        """The sequent's own terms, then `max_candidate_terms` variables
+        that occur nowhere in it."""
+        fresh = (Var(v) for v in count() if v not in self.used_vars)
+        return chain(self.terms, islice(fresh, self.bounds.max_candidate_terms))
 
-        self.reserved: list[str] = []
-        i = 0
-        while len(self.reserved) < bounds.max_proof_depth:
-            name = f"k{i}"
-            if name not in sig.constants:
-                self.reserved.append(name)
-            i += 1
-        self.sig_ext = Signature(
-            sig.constants | frozenset(self.reserved), dict(sig.predicates)
-        )
+    def reserved(self) -> Iterator[str]:
+        """The `max_proof_depth` constant names ``k0``, ``k1``, ... that
+        the signature does not declare."""
+        names = (f"k{i}" for i in count())
+        return islice((n for n in names if n not in self.sig.constants), self.bounds.max_proof_depth)
 
     def tick(self) -> None:
         self.nodes += 1
@@ -607,7 +601,7 @@ class _ProofSearch:
             if p is not None:
                 return all_intro_right(p, cons.var)
         if isinstance(ante, All):
-            for t in self.candidates:
+            for t in self.candidates():
                 if freefor(ante.body, ante.var, t):
                     p = self.dfs(sub(ante.body, ante.var, t), cons, depth - 1, path)
                     if p is not None:
@@ -646,7 +640,7 @@ class _ProofSearch:
 
     def _fresh_const(self, ante: Formula, cons: Formula) -> str | None:
         used = consts_of(ante) | consts_of(cons)
-        for name in self.reserved:
+        for name in self.reserved():
             if name not in used:
                 return name
         return None
@@ -702,10 +696,16 @@ def proof_search(
         except _Deadline:
             return None
         if d is not None:
-            if check(d, state.sig_ext) != seq:
-                raise InternalError("proof search produced a non-checking derivation")
-            return d
+            return _rechecked(d, seq, sig)
     return None
+
+
+def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
+    """`d`, once the kernel re-checks it to `seq` under `sig` extended
+    with the constants it names, which are the reserved ones it uses."""
+    if check(d, used_signature(sig, d)) != seq:
+        raise InternalError("proof search produced a non-checking derivation")
+    return d
 
 
 # -- the decision procedure --------------------------------------------
@@ -735,9 +735,7 @@ def decide(
             started = time.monotonic()
             d = state.dfs(seq.ante, seq.cons, depth, set())
             if d is not None:
-                if check(d, state.sig_ext) != seq:
-                    raise InternalError("proof search produced a non-checking derivation")
-                return Proved(d)
+                return Proved(_rechecked(d, seq, sig))
             took = time.monotonic() - started
             if clear is None:
                 clear = _verdict(tree, time.monotonic() + took)

@@ -209,6 +209,43 @@ def _assignments(w: int, size: int, var_pool: tuple[int, ...]):
             yield Assignment(w, default, dict(zip(var_pool, values)))
 
 
+# -- formula walk oracles ----------------------------------------------------
+#
+# The walks that `language` replaced with values stored on each formula,
+# kept as they were: a recursive generator of the subformulas in preorder,
+# and `all_vars` and `consts_of` read off it.
+
+
+def subformulas_reference(phi) -> Iterator:
+    """Oracle for `subformulas`."""
+    yield phi
+    if isinstance(phi, And):
+        yield from subformulas_reference(phi.left)
+        yield from subformulas_reference(phi.right)
+    elif isinstance(phi, (Diam, All)):
+        yield from subformulas_reference(phi.body)
+
+
+def all_vars_reference(phi) -> frozenset[int]:
+    """Oracle for `all_vars`."""
+    out: set[int] = set()
+    for part in subformulas_reference(phi):
+        if isinstance(part, Pred):
+            out.update(a.id for a in part.args if isinstance(a, Var))
+        elif isinstance(part, All):
+            out.add(part.var)
+    return frozenset(out)
+
+
+def consts_of_reference(phi) -> frozenset[str]:
+    """Oracle for `consts_of`."""
+    return frozenset(
+        a.name
+        for part in subformulas_reference(phi) if isinstance(part, Pred)
+        for a in part.args if isinstance(a, Const)
+    )
+
+
 # -- countermodel enumeration oracle ---------------------------------------
 #
 # The enumerator that `search._candidates` replaced, kept verbatim: a

@@ -1,4 +1,6 @@
+import sys
 import weakref
+from dataclasses import fields
 
 from hypothesis import given
 
@@ -17,9 +19,17 @@ from qrc1 import (
     sub,
     well_formed,
 )
-from qrc1.language import fv_term, generalize, all_vars, consts_of
+from qrc1.language import fv_term, generalize, all_vars, consts_of, subformulas
 
-from conftest import SIG, formulas, terms, variables
+from conftest import (
+    SIG,
+    all_vars_reference,
+    consts_of_reference,
+    formulas,
+    subformulas_reference,
+    terms,
+    variables,
+)
 
 X, Y, Z = 0, 1, 2
 
@@ -165,19 +175,100 @@ def test_generalize_inverts_constant_substitution(phi, x):
 
 
 def test_fv_and_freefor_keep_no_formula_alive():
-    # fv is stored on the formula itself, so nothing outside it holds the
-    # formula once the caller drops it
-    phi = All(Y, S(Var(X), Var(Y)))
+    # what a formula stores is stored on the formula itself, so nothing
+    # outside it holds the formula once the caller drops it
+    phi = All(Y, And(S(Var(X), Var(Y)), P(Const("c"))))
     assert fv(phi) == {X}
     assert not freefor(phi, X, Var(Y))
-    assert fv(phi) == {X}  # the stored answer
-    refs = [weakref.ref(phi), weakref.ref(phi.body)]
+    assert all_vars(phi) == {X, Y}
+    assert consts_of(phi) == {"c"} and occurs_const("c", phi)
+    assert hash(phi) == hash((Y, phi.body))
+    assert sub(phi, Z, Var(X)) is phi and generalize(phi, Const("d"), Z) is phi
+    assert sub(phi, X, Const("d")) != phi and generalize(phi, Const("c"), Z) != phi
+    # the stored answers
+    assert (fv(phi), all_vars(phi), consts_of(phi)) == ({X}, {X, Y}, {"c"})
+    refs = [weakref.ref(phi), weakref.ref(phi.body), weakref.ref(phi.body.right)]
     del phi
-    assert [ref() for ref in refs] == [None, None]
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 def test_stored_free_variables_leave_equality_and_hashing_alone():
-    phi, psi = And(P(Var(X)), TOP), And(P(Var(X)), TOP)
-    fv(phi)
+    phi, psi = And(P(Var(X)), All(Y, P(Const("c")))), And(P(Var(X)), All(Y, P(Const("c"))))
+    fv(phi), all_vars(phi), consts_of(phi), hash(phi)
     assert phi == psi and hash(phi) == hash(psi)
     assert repr(phi) == repr(psi)
+    # so sets and dicts order them the same
+    others = [P(Var(Y)), TOP, Diam(P(Var(X)))]
+    assert list({phi, *others}) == list({psi, *others})
+    assert list(dict.fromkeys([*others, phi])) == list(dict.fromkeys([*others, psi]))
+
+
+def _fields_hash(phi):
+    """The hash a frozen dataclass computes: of the tuple of its fields."""
+    return hash(tuple(getattr(phi, f.name) for f in fields(phi)))
+
+
+@given(formulas)
+def test_stored_hash_is_the_dataclass_hash(phi):
+    for part in subformulas(phi):
+        assert hash(part) == _fields_hash(part)
+        assert hash(part) == _fields_hash(part)  # the stored value
+
+
+@given(formulas)
+def test_stored_sets_agree_with_the_walks(phi):
+    assert list(subformulas(phi)) == list(subformulas_reference(phi))
+    for part in subformulas(phi):
+        assert all_vars(part) == all_vars_reference(part)
+        assert consts_of(part) == consts_of_reference(part)
+        assert fv(part) <= all_vars(part)
+        for c in ("c", "d"):
+            assert occurs_const(c, part) == (c in consts_of_reference(part))
+
+
+@given(formulas)
+def test_stored_sets_share_a_child_set_when_the_union_adds_nothing(phi):
+    empty = fv(TOP)
+    for part in subformulas(phi):
+        children = (
+            [part.left, part.right] if isinstance(part, And)
+            else [part.body] if isinstance(part, (Diam, All)) else []
+        )
+        for stored in (fv, all_vars, consts_of):
+            value = stored(part)
+            if not value:
+                assert value is empty
+            elif isinstance(part, Pred):
+                continue
+            elif any(stored(child) == value for child in children):
+                assert any(stored(child) is value for child in children)
+        if isinstance(part, Pred):
+            assert fv(part) is all_vars(part)
+
+
+def test_stored_values_take_one_frame_per_level_of_nesting():
+    # as deep as plain recursion handles with room to spare; two frames per
+    # level would pass the recursion limit (`==` takes more, so not here)
+    phi = P(Var(X))
+    for i in range(sys.getrecursionlimit() * 2 // 5):
+        phi = Diam(phi) if i % 2 else All(Y, phi)
+    assert (fv(phi), all_vars(phi), consts_of(phi)) == ({X}, {X, Y}, frozenset())
+    frozen = sub(phi, X, Const("c"))
+    assert (fv(frozen), consts_of(frozen)) == (frozenset(), {"c"})
+    assert hash(generalize(frozen, Const("c"), X)) == hash(phi) != hash(frozen)
+
+
+@given(formulas, variables, terms)
+def test_sub_returns_the_formula_itself_when_nothing_is_replaced(phi, x, t):
+    out = sub(phi, x, t)
+    assert (out is phi) == (x not in fv(phi))
+
+
+@given(formulas, terms, variables)
+def test_generalize_returns_the_formula_itself_when_the_term_is_absent(phi, t, x):
+    occurs = t.id in fv(phi) if isinstance(t, Var) else t.name in consts_of_reference(phi)
+    out = generalize(phi, t, x)
+    if not occurs:
+        assert out is phi
+    elif not isinstance(t, Var) or t.id != x:
+        assert out != phi

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import islice
 
 import pytest
@@ -187,13 +188,12 @@ def test_proof_search_uses_instantiation_terms():
 
 
 def test_proof_search_freezes_variables_with_reserved_constants():
-    goal = seq("P(x) ~> A x . T")
+    goal = seq("A x . A y . (P(x) & T) ~> P(y)")
     d = proof_search(goal, SIG, SearchBounds())
     assert d is not None
-    from qrc1.search import _ProofSearch
-
-    state = _ProofSearch(goal, SIG, SearchBounds(), None)
-    assert check(d, state.sig_ext) == goal
+    ext = used_signature(SIG, d)
+    assert ext.constants - SIG.constants == {"k0"}
+    assert check(d, ext) == goal
 
 
 def test_axiom_leaf_recognizers():
@@ -315,6 +315,58 @@ def test_tree_check_takes_turns_with_proof_search():
     out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.3))
     assert isinstance(out, Proved)
     assert took < 0.3
+
+
+def test_large_bounds_cost_nothing_up_front():
+    # instantiation terms and reserved constants are drawn as search needs
+    # them; building all 10**6 of each up front would take seconds and
+    # ~190 MB
+    bounds = SearchBounds(max_proof_depth=10**6, max_candidate_terms=10**6, deadline=0.2)
+    for text in (
+        "pred P/1. P(x) ~> <> P(x)",
+        # valid and past proof search: every depth tries every fresh term
+        "pred P/1. pred Q/1. A y . <> (P(x) & <> Q(x)) ~> <> Q(x)",
+    ):
+        sig, goal = parse_problem(text)
+        tracemalloc.start()
+        try:
+            out, took = _elapsed(decide, goal, sig, bounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert took < 0.2 + DEADLINE_SLACK, text
+        assert peak < 4 << 20, text
+    assert out == Exhausted("deadline reached")
+
+
+def test_decide_output_does_not_depend_on_the_hash_seed():
+    # formulas store their hash; set and dict order must still never
+    # reach a certificate
+    src = os.path.dirname(os.path.dirname(qrc1.__file__))
+    header = "const c. pred P/1. pred Q/1. pred S/2. "
+    code = (
+        "import sys\n"
+        "from qrc1.cli import main\n"
+        "for text in sys.argv[1:]:\n"
+        "    main(['decide', text, '--json'])\n"
+    )
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", code, *(header + text for text, _ in BATTERY)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        for seed in ("1", "2")
+    ]
+    for proc in outs:
+        assert proc.returncode == 0, proc.stderr
+    lines = outs[0].stdout.splitlines()
+    assert [json.loads(line)["outcome"] for line in lines] == [
+        expected.__name__ for _, expected in BATTERY
+    ]
+    assert outs[1].stdout == outs[0].stdout
 
 
 def _run_capped(argv, cap):
