@@ -465,10 +465,7 @@ def dump_proof(d: Derivation, sig: Signature, table: SymbolTable | None = None) 
     """Serialize a derivation to the JSON proof-file structure."""
     table = table or SymbolTable()
     return {
-        "signature": {
-            "constants": sorted(sig.constants),
-            "predicates": dict(sorted(sig.predicates.items())),
-        },
+        "signature": syntax.signature_to_json(sig),
         "proof": _dump_node(d, sig, table),
     }
 
@@ -510,17 +507,7 @@ def load_proof(data: str | dict[str, Any]) -> LoadedProof:
                 raise ProofFormatError(f"invalid JSON: {e}") from e
         if not isinstance(data, dict):
             raise ProofFormatError("proof file must be a JSON object")
-        sig_obj = data.get("signature")
-        if not isinstance(sig_obj, dict):
-            raise ProofFormatError("missing or malformed 'signature'")
-        constants = sig_obj.get("constants", [])
-        predicates = sig_obj.get("predicates", {})
-        if not isinstance(constants, list) or not isinstance(predicates, dict):
-            raise ProofFormatError("malformed signature declarations")
-        try:
-            sig = Signature(frozenset(constants), {k: int(v) for k, v in predicates.items()})
-        except (TypeError, ValueError) as e:
-            raise ProofFormatError(str(e)) from e
+        sig = syntax.signature_from_json(data.get("signature"), ProofFormatError)
         table = SymbolTable()
         d = _Loader(sig, table).load(data.get("proof"))
         return LoadedProof(sig, d, table)

@@ -36,6 +36,7 @@ from .language import (
     Term,
     Var,
 )
+from .syntax import signature_from_json, signature_to_json
 
 
 class InternalError(Exception):
@@ -142,17 +143,14 @@ def _validate_interps(m: RawModel) -> None:
 
 @dataclass(frozen=True)
 class AdequacyReport:
-    """Outcome of the four adequacy checks, with a witness per failure.
+    """Outcome of the four adequacy checks: each passes when its witness
+    is None, and otherwise the witness is the first failure found.
 
     Witnesses: ``(w, u, v)`` for a missing transitive edge, ``(w, u, v, d)``
     for an eta composition mismatch, ``(w, d)`` for a non-identity
     ``eta[w][w]``, and ``(w, u, c)`` for a constant broken along an edge.
     """
 
-    transitive_r: bool
-    eta_functorial: bool
-    eta_identity: bool
-    concordant: bool
     transitive_witness: tuple[int, int, int] | None = None
     eta_functorial_witness: tuple[int, int, int, int] | None = None
     eta_identity_witness: tuple[int, int] | None = None
@@ -160,22 +158,20 @@ class AdequacyReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.transitive_r
-            and self.eta_functorial
-            and self.eta_identity
-            and self.concordant
-        )
+        return all(witness is None for _, _, witness in self.checks)
 
     @property
     def checks(self) -> tuple[tuple[str, bool, tuple | None], ...]:
         """``(label, ok, witness)`` per check, in report order, under the
         labels `summary` and ``qrc1 adequate`` print."""
-        return (
-            ("transitiveR", self.transitive_r, self.transitive_witness),
-            ("etaFunctorial", self.eta_functorial, self.eta_functorial_witness),
-            ("etaIdentity", self.eta_identity, self.eta_identity_witness),
-            ("concordant", self.concordant, self.concordant_witness),
+        return tuple(
+            (label, witness is None, witness)
+            for label, witness in (
+                ("transitiveR", self.transitive_witness),
+                ("etaFunctorial", self.eta_functorial_witness),
+                ("etaIdentity", self.eta_identity_witness),
+                ("concordant", self.concordant_witness),
+            )
         )
 
     def summary(self) -> str:
@@ -187,10 +183,10 @@ class AdequacyReport:
 
 @dataclass(frozen=True)
 class Model:
-    """A raw model together with its passing adequacy report."""
+    """A raw model that passed `check_adequacy`; build it with
+    `validate_model`."""
 
     raw: RawModel
-    report: AdequacyReport
 
     @property
     def sig(self) -> Signature:
@@ -218,64 +214,41 @@ def check_adequacy(m: Model | RawModel) -> AdequacyReport:
 
     Triples of worlds for transitivity and eta composition, every world
     for eta identities, and every related pair times every constant for
-    concordance.  The first failure of each kind is witnessed.
+    concordance.  The first failure of each kind is witnessed, searching
+    edges in sorted order, successors, elements and constants ascending.
     """
     raw = _raw(m)
     frame = raw.frame
-    rel, succ = frame.rel, frame.succ
+    rel, succ, eta = frame.rel, frame.succ, frame.eta
     edges = sorted(rel)
-
-    transitive, trans_wit = True, None
-    for w, u in edges:
-        for v in succ[u]:
-            if (w, v) not in rel:
-                transitive, trans_wit = False, (w, u, v)
-                break
-        if not transitive:
-            break
-
-    functorial, func_wit = True, None
-    for w, u in edges:
-        for v in succ[u]:
-            for d in range(frame.domains[w]):
-                if frame.eta[w][v][d] != frame.eta[u][v][frame.eta[w][u][d]]:
-                    functorial, func_wit = False, (w, u, v, d)
-                    break
-            if not functorial:
-                break
-        if not functorial:
-            break
-
-    identity, id_wit = True, None
-    for w in range(frame.worlds):
-        for d in range(frame.domains[w]):
-            if frame.eta[w][w][d] != d:
-                identity, id_wit = False, (w, d)
-                break
-        if not identity:
-            break
-
-    concordant, conc_wit = True, None
-    for w, u in edges:
-        for c in sorted(raw.sig.constants):
-            if raw.const_interp[u][c] != frame.eta[w][u][raw.const_interp[w][c]]:
-                concordant, conc_wit = False, (w, u, c)
-                break
-        if not concordant:
-            break
-
+    ci = raw.const_interp
     return AdequacyReport(
-        transitive, functorial, identity, concordant,
-        trans_wit, func_wit, id_wit, conc_wit,
+        next(((w, u, v) for w, u in edges for v in succ[u] if (w, v) not in rel), None),
+        next((
+            (w, u, v, d)
+            for w, u in edges for v in succ[u] for d in range(frame.domains[w])
+            if eta[w][v][d] != eta[u][v][eta[w][u][d]]
+        ), None),
+        next((
+            (w, d)
+            for w in range(frame.worlds) for d in range(frame.domains[w])
+            if eta[w][w][d] != d
+        ), None),
+        next((
+            (w, u, c)
+            for w, u in edges for c in sorted(raw.sig.constants)
+            if ci[u][c] != eta[w][u][ci[w][c]]
+        ), None),
     )
 
 
 def validate_model(raw: RawModel) -> Model:
-    """Wrap a raw model after checking adequacy; raises if it fails."""
+    """Check a raw model's adequacy and return it as a `Model`; raises
+    `InadequateModelError` with the failing report if it is not adequate."""
     report = check_adequacy(raw)
     if not report.ok:
         raise InadequateModelError(report)
-    return Model(raw, report)
+    return Model(raw)
 
 
 # -- assignments -----------------------------------------------------
@@ -486,7 +459,7 @@ def restrict_replace(m: Model | RawModel, w: int, c: str, d: int) -> Model:
         raise InternalError(
             f"restriction after constant replacement lost adequacy: {report.summary()}"
         )
-    return Model(out, report)
+    return Model(out)
 
 
 # -- model file format -----------------------------------------------
@@ -496,10 +469,7 @@ def dump_model(m: Model | RawModel) -> dict[str, Any]:
     """Serialize to the JSON model-file structure."""
     raw = _raw(m)
     return {
-        "signature": {
-            "constants": sorted(raw.sig.constants),
-            "predicates": dict(sorted(raw.sig.predicates.items())),
-        },
+        "signature": signature_to_json(raw.sig),
         "worlds": raw.frame.worlds,
         "rel": [list(p) for p in sorted(raw.frame.rel)],
         "domains": list(raw.frame.domains),
@@ -521,8 +491,28 @@ def dumps_model(m: Model | RawModel) -> str:
     return json.dumps(dump_model(m), indent=2)
 
 
+def _ints(value: Any, depth: int, what: str) -> Any:
+    """A JSON integer under `depth` levels of lists, as nested tuples;
+    `what` names the field in the error for anything else."""
+    if depth == 0:
+        if type(value) is not int:
+            raise ModelFormatError(f"missing or malformed {what!r}: {value!r} is not an integer")
+        return value
+    if not isinstance(value, list):
+        raise ModelFormatError(f"missing or malformed {what!r}: expected a list")
+    return tuple([_ints(v, depth - 1, what) for v in value])
+
+
+def _objects(value: Any, what: str) -> list[dict[str, Any]]:
+    """A JSON list of objects, one per world."""
+    if not isinstance(value, list) or not all(isinstance(o, dict) for o in value):
+        raise ModelFormatError(f"missing or malformed {what!r}: expected a list of objects")
+    return value
+
+
 def load_model(data: str | dict[str, Any]) -> RawModel:
-    """Parse the JSON model-file structure; the inverse of `dump_model`."""
+    """Parse the JSON model-file structure; the inverse of `dump_model`.
+    Counts, elements and tuples are JSON integers, never other numbers."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
@@ -530,50 +520,25 @@ def load_model(data: str | dict[str, Any]) -> RawModel:
             raise ModelFormatError(f"invalid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ModelFormatError("model file must be a JSON object")
-    sig_obj = data.get("signature")
-    if not isinstance(sig_obj, dict):
-        raise ModelFormatError("missing or malformed 'signature'")
+    sig = signature_from_json(data.get("signature"), ModelFormatError)
+    worlds = _ints(data.get("worlds"), 0, "worlds")
+    rel = _ints(data.get("rel"), 2, "rel")
+    if any(len(edge) != 2 for edge in rel):
+        raise ModelFormatError("malformed 'rel': every edge is a pair of worlds")
+    domains = _ints(data.get("domains"), 1, "domains")
+    eta = _ints(data.get("eta"), 3, "eta")
+    const_interp = tuple(
+        {c: _ints(v, 0, "constInterp") for c, v in ci.items()}
+        for ci in _objects(data.get("constInterp"), "constInterp")
+    )
+    pred_interp = tuple(
+        {name: frozenset(_ints(tuples, 2, "predInterp")) for name, tuples in pi.items()}
+        for pi in _objects(data.get("predInterp"), "predInterp")
+    )
     try:
-        sig = Signature(
-            frozenset(sig_obj.get("constants", [])),
-            {k: int(v) for k, v in sig_obj.get("predicates", {}).items()},
-        )
-    except (TypeError, ValueError, AttributeError) as e:
-        raise ModelFormatError(f"malformed signature: {e}") from e
-
-    def field_of(name: str, kind: type) -> Any:
-        value = data.get(name)
-        if not isinstance(value, kind):
-            raise ModelFormatError(f"missing or malformed {name!r}")
-        return value
-
-    worlds = field_of("worlds", int)
-    rel_list = field_of("rel", list)
-    domains = field_of("domains", list)
-    eta_list = field_of("eta", list)
-    ci_list = field_of("constInterp", list)
-    pi_list = field_of("predInterp", list)
-    try:
-        rel = frozenset((int(a), int(b)) for a, b in rel_list)
-        frame = RawFrame(
-            worlds,
-            rel,
-            tuple(int(d) for d in domains),
-            tuple(
-                tuple(tuple(int(v) for v in row) for row in block)
-                for block in eta_list
-            ),
-        )
-        const_interp = tuple({str(k): int(v) for k, v in ci.items()} for ci in ci_list)
-        pred_interp = tuple(
-            {
-                str(name): frozenset(tuple(int(v) for v in t) for t in tuples)
-                for name, tuples in pi.items()
-            }
-            for pi in pi_list
-        )
-        raw = RawModel(sig, frame, const_interp, pred_interp)
-    except (TypeError, ValueError) as e:
+        raw = RawModel(sig, RawFrame(worlds, frozenset(rel), domains, eta), const_interp,
+                       pred_interp)
+    except ValueError as e:
         raise ModelFormatError(str(e)) from e
     _validate_interps(raw)
     return raw

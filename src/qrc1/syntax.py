@@ -26,6 +26,7 @@ original spelling, so parse and print round-trip.
 from __future__ import annotations
 
 import re
+from typing import Any
 
 from .language import (
     All,
@@ -282,6 +283,41 @@ def parse_problem(text: str, table: SymbolTable | None = None) -> tuple[Signatur
     seq = p.sequent()
     p.expect_end()
     return p.sig, seq
+
+
+# -- signature blocks of model and proof files -----------------------
+
+
+def signature_to_json(sig: Signature) -> dict[str, Any]:
+    """The ``"signature"`` block of model and proof files."""
+    return {
+        "constants": sorted(sig.constants),
+        "predicates": dict(sorted(sig.predicates.items())),
+    }
+
+
+def signature_from_json(obj: Any, error: type[ValueError]) -> Signature:
+    """Read a ``"signature"`` block, the inverse of `signature_to_json`.
+    It declares what a header may: distinct names, none reserved, and
+    natural-number arities.  Anything else raises `error`."""
+    if not isinstance(obj, dict):
+        raise error("missing or malformed 'signature'")
+    constants = obj.get("constants", [])
+    predicates = obj.get("predicates", {})
+    if not isinstance(constants, list) or not isinstance(predicates, dict):
+        raise error("malformed signature: 'constants' must be a list, 'predicates' an object")
+    for name in [*constants, *predicates]:
+        if not is_name(name):
+            raise error(f"malformed signature: {name!r} cannot be declared")
+    for name, arity in predicates.items():
+        if type(arity) is not int or arity < 0:
+            raise error(f"malformed signature: predicate {name!r} has arity {arity!r}")
+    if len(set(constants)) != len(constants):
+        raise error("malformed signature: a constant is declared twice")
+    try:
+        return Signature(frozenset(constants), dict(predicates))
+    except ValueError as e:
+        raise error(f"malformed signature: {e}") from e
 
 
 # -- printing --------------------------------------------------------

@@ -169,6 +169,58 @@ def sat_reference(raw: RawModel, w: int, g: Assignment, phi) -> bool:
     return True  # Top
 
 
+def check_adequacy_reference(raw: RawModel) -> tuple:
+    """Oracle for `check_adequacy`: the flag-and-break loops it replaced.
+    Returns the four pass flags, then the four witnesses, in report order."""
+    frame = raw.frame
+    rel, succ = frame.rel, frame.succ
+    edges = sorted(rel)
+
+    transitive, trans_wit = True, None
+    for w, u in edges:
+        for v in succ[u]:
+            if (w, v) not in rel:
+                transitive, trans_wit = False, (w, u, v)
+                break
+        if not transitive:
+            break
+
+    functorial, func_wit = True, None
+    for w, u in edges:
+        for v in succ[u]:
+            for d in range(frame.domains[w]):
+                if frame.eta[w][v][d] != frame.eta[u][v][frame.eta[w][u][d]]:
+                    functorial, func_wit = False, (w, u, v, d)
+                    break
+            if not functorial:
+                break
+        if not functorial:
+            break
+
+    identity, id_wit = True, None
+    for w in range(frame.worlds):
+        for d in range(frame.domains[w]):
+            if frame.eta[w][w][d] != d:
+                identity, id_wit = False, (w, d)
+                break
+        if not identity:
+            break
+
+    concordant, conc_wit = True, None
+    for w, u in edges:
+        for c in sorted(raw.sig.constants):
+            if raw.const_interp[u][c] != frame.eta[w][u][raw.const_interp[w][c]]:
+                concordant, conc_wit = False, (w, u, c)
+                break
+        if not concordant:
+            break
+
+    return (
+        transitive, functorial, identity, concordant,
+        trans_wit, func_wit, id_wit, conc_wit,
+    )
+
+
 def sat_alt(raw: RawModel, w: int, g: Assignment, phi, var_pool: tuple[int, ...]):
     """Independent satisfaction oracle whose universal-quantifier clause
     quantifies over alternative assignments rather than domain elements.

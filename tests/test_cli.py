@@ -1,12 +1,18 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from qrc1 import (
     TOP,
+    Diam,
     Pred,
+    RawFrame,
+    RawModel,
     Var,
     ax_trans,
+    dump_model,
     dumps_model,
     dumps_proof,
     signature,
@@ -454,3 +460,150 @@ def test_check_runs_no_garbage_collection(capsys, tmp_path):
     assert code == 0
     assert json.loads(capsys.readouterr().out)["ok"] is True
     assert starts == []
+
+
+# -- malformed model and proof files -----------------------------------------
+
+MODEL_DOC = {
+    "signature": {"constants": ["c"], "predicates": {"P": 1}},
+    "worlds": 1,
+    "rel": [],
+    "domains": [1],
+    "eta": [[[0]]],
+    "constInterp": [{"c": 0}],
+    "predInterp": [{"P": [[0]]}],
+}
+PROOF_DOC = {
+    "signature": {"constants": ["c"], "predicates": {"P": 1}},
+    "proof": {"rule": "Refl", "params": {"phi": "P(c)"}, "premises": []},
+}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"constInterp": [[5]]}, "missing or malformed 'constInterp': expected a list of objects"),
+    ({"predInterp": [[5]]}, "missing or malformed 'predInterp': expected a list of objects"),
+    ({"worlds": True}, "missing or malformed 'worlds': True is not an integer"),
+    ({"domains": [1.5]}, "missing or malformed 'domains': 1.5 is not an integer"),
+    ({"rel": [[0, 0, 0]]}, "malformed 'rel': every edge is a pair of worlds"),
+    ({"eta": [[["0"]]]}, "missing or malformed 'eta': '0' is not an integer"),
+    ({"constInterp": [{"c": False}]},
+     "missing or malformed 'constInterp': False is not an integer"),
+    ({"predInterp": [{"P": [0]}]}, "missing or malformed 'predInterp': expected a list"),
+])
+def test_adequate_rejects_malformed_model_fields(capsys, tmp_path, change, message):
+    path = tmp_path / "bad.qkm"
+    path.write_text(json.dumps({**MODEL_DOC, **change}))
+    assert run(capsys, "adequate", str(path)) == (65, "", f"qrc1: {message}\n")
+
+
+@pytest.mark.parametrize("command, doc", [("adequate", MODEL_DOC), ("check", PROOF_DOC)])
+@pytest.mark.parametrize("change, message", [
+    ({"constants": "cd"}, "'constants' must be a list, 'predicates' an object"),
+    ({"predicates": [["P", 1]]}, "'constants' must be a list, 'predicates' an object"),
+    ({"constants": ["T"]}, "'T' cannot be declared"),
+    ({"constants": [7]}, "7 cannot be declared"),
+    ({"predicates": {"A": 1}}, "'A' cannot be declared"),
+    ({"constants": ["c", "c"]}, "a constant is declared twice"),
+    ({"constants": ["c", "P"]}, "names declared as both constant and predicate: ['P']"),
+    ({"predicates": {"P": 1.9}}, "predicate 'P' has arity 1.9"),
+    ({"predicates": {"P": "1"}}, "predicate 'P' has arity '1'"),
+    ({"predicates": {"P": True}}, "predicate 'P' has arity True"),
+    ({"predicates": {"P": -1}}, "predicate 'P' has arity -1"),
+])
+def test_model_and_proof_files_reject_malformed_signatures(
+    capsys, tmp_path, command, doc, change, message
+):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, "signature": {**doc["signature"], **change}}))
+    assert run(capsys, command, str(path)) == (65, "", f"qrc1: malformed signature: {message}\n")
+
+
+def _json_paths(doc, at=()):
+    """The path of every value in `doc`, the whole document first."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+        for key, value in items:
+            yield from _json_paths(value, at + (key,))
+
+
+_DELETE = object()
+
+
+def _replaced(doc, at, value):
+    """A copy of `doc` with the value at path `at` replaced, or deleted
+    when `value` is `_DELETE`."""
+    if not at:
+        return value
+    head, *rest = at
+    out = dict(doc) if isinstance(doc, dict) else list(doc)
+    if rest or value is not _DELETE:
+        out[head] = _replaced(doc[head], tuple(rest), value)
+    else:
+        del out[head]
+    return out
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+    | st.sampled_from(["", "c", "T", "P", "P(c)", "x", "Refl", "AllIr", "<> P(c)"])
+    | st.text(max_size=3),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["c", "P", "phi", "x", "rule"]) | st.text(max_size=2),
+                      kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fuzz_bases():
+    """Valid model and proof files to corrupt, with every rule parameter
+    kind (formulas, a variable, a term and a constant) among them."""
+    from qrc1 import (
+        Const, SymbolTable, all_instantiate, ax_top, cut, diam_over_all, dump_proof,
+        generalize_constant,
+    )
+
+    sig = signature(["c", "k"], {"P": 1, "S": 2})
+    table = SymbolTable()
+    x = table.intern("x")
+    body = Pred("S", (Var(x), Const("c")))
+    chained = cut(diam_over_all(body, x), all_instantiate(Diam(body), x, Const("c")))
+    frame = RawFrame(2, frozenset({(0, 1)}), (2, 1), (((0, 1), (0, 0)), ((0,), (0,))))
+    model = RawModel(sig, frame, ({"c": 1, "k": 0}, {"c": 0, "k": 0}),
+                     ({"P": frozenset({(1,)})}, {"S": frozenset({(0, 0)})}))
+    return [
+        ("model", dump_model(model)),
+        ("model", dump_model(single_world_model(sig, size=2))),
+        ("proof", dump_proof(chained, sig, table)),
+        ("proof", dump_proof(generalize_constant(ax_top(Pred("P", (Const("c"),))), x, "k"), sig)),
+    ]
+
+
+_FUZZ_BASES = _fuzz_bases()
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_files_never_crash_the_cli(capsys, tmp_path, data):
+    """One or two values of a valid file replaced or deleted, and now and
+    then the text cut short: every command exits with a verdict or 65,
+    with one line on stderr."""
+    kind, doc = data.draw(st.sampled_from(_FUZZ_BASES))
+    for _ in range(data.draw(st.integers(1, 2))):
+        at = data.draw(st.sampled_from(list(_json_paths(doc))))
+        values = (st.just(_DELETE) | _json_values) if at else _json_values
+        doc = _replaced(doc, at, data.draw(values))
+    text = json.dumps(doc)
+    if data.draw(st.integers(0, 7)) == 7:
+        text = text[:data.draw(st.integers(0, len(text)))]
+    path = tmp_path / f"fuzz.{kind}"
+    path.write_text(text)
+    commands = (
+        [["adequate", str(path)], ["sat", str(path), "--world", "1", "--formula", "<> P(c)"]]
+        if kind == "model" else [["check", str(path), "--json"]]
+    )
+    for argv in commands:
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 65), (argv, text, err)
+        assert "Traceback" not in err and err.count("\n") <= 1
