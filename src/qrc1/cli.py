@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
@@ -32,6 +33,20 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EX_USAGE)
+
+
+def count(text: str) -> int:
+    """An argparse type, named for its error message: an int of at least 1."""
+    if int(text) < 1:
+        raise ValueError(text)
+    return int(text)
+
+
+def seconds(text: str) -> float:
+    """An argparse type, named for its error message: a positive, finite float."""
+    if not 0 < float(text) < math.inf:
+        raise ValueError(text)
+    return float(text)
 
 
 @functools.cache  # one parser per process: `parse_args` keeps no state in it
@@ -61,12 +76,11 @@ def _build_parser() -> _ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("sequent", help="optional `const c.`/`pred S/2.` header, then `f ~> g`")
-        p.add_argument("--max-worlds", type=int, default=4)
-        p.add_argument("--max-domain", type=int, default=3)
+        p.add_argument("--max-worlds", type=count, default=4)
+        p.add_argument("--max-domain", type=count, default=3)
         if name == "decide":
-            p.add_argument("--max-depth", type=int, default=8)
-            p.add_argument("--max-terms", type=int, default=2)
-        p.add_argument("--timeout", type=float, default=None, metavar="SECS")
+            p.add_argument("--max-depth", type=count, default=8)
+        p.add_argument("--timeout", type=seconds, default=None, metavar="SECS")
         p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser(
@@ -75,10 +89,10 @@ def _build_parser() -> _ArgumentParser:
         "(seeded by QRC1_SEED)",
     )
     p.add_argument("proof", help="path to a .qpf proof file")
-    p.add_argument("--models", type=int, default=200)
-    p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--max-worlds", type=int, default=4)
-    p.add_argument("--max-domain", type=int, default=3)
+    p.add_argument("--models", type=count, default=200)
+    p.add_argument("--samples", type=count, default=8)
+    p.add_argument("--max-worlds", type=count, default=4)
+    p.add_argument("--max-domain", type=count, default=3)
     p.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
@@ -208,7 +222,6 @@ def _cmd_decide(args: argparse.Namespace) -> int:
         max_worlds=args.max_worlds,
         max_domain=args.max_domain,
         max_proof_depth=args.max_depth,
-        max_candidate_terms=args.max_terms,
         deadline=args.timeout,
     )
     outcome = search.decide(seq, sig, bounds)

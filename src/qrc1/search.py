@@ -37,28 +37,38 @@ its world count.  The argument:
   M, so each edge of the closure lands on a path, which is an edge by
   transitivity, and each asserted atom holds in M where it lands.  So
   the consequent, false at w, is false at the tree's root.
+- Copying an element e (adding e' with the atoms of e, read as e)
+  preserves every formula, by induction, a quantifier ranging over e in
+  place of e'.  So a countermodel with d elements gives one with d + 1
+  elements and the same valuation: refutability only grows with d.
 - Put the other way round: if the consequent holds at the root of every
-  such tree for d = 1 ... max_domain, no countermodel exists within those
-  domain sizes at any world count.  Renaming the elements is an
-  isomorphism, so v is needed only up to relabelling: one valuation per
-  set partition of the names into at most d blocks.
+  such tree for d = max_domain, no countermodel exists within
+  `max_domain` elements at any world count.  Renaming the elements is
+  an isomorphism, so v is needed only up to relabelling: one valuation
+  per set partition of the names into at most d blocks.
 
 The check yields no certificate; it only lets `decide` and `refute`
 stop enumerating.
 
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
-instantiation terms from the sequent's own terms plus a few fresh
-variables, and constants for the constant-elimination move from a
-reserved namespace.  Whatever it returns is re-checked by the kernel.
+instantiation terms from the sequent's own terms plus two fresh
+variables, and constants for the constant-elimination move from the
+names ``k0``, ``k1``, ... that the signature does not declare.  Whatever
+it returns is re-checked by the kernel.
+
+Each half is a resumable stream, `_proofs` or `_refutations`, that
+returns its certificate or None; `_run` pulls one to its end or to a
+pause, and `decide` takes turns between the two.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from itertools import chain, count, islice, product
-from typing import Generator, Iterable, Iterator
+from typing import Generator, Iterable, Iterator, TypeVar
 
 import random
 
@@ -117,22 +127,13 @@ class SearchBounds:
     max_worlds: int = 4
     max_domain: int = 3
     max_proof_depth: int = 8
-    max_candidate_terms: int = 2
     deadline: float | None = None  # wall-clock seconds for the whole call
 
     def __post_init__(self) -> None:
-        if (
-            min(
-                self.max_worlds,
-                self.max_domain,
-                self.max_proof_depth,
-                self.max_candidate_terms,
-            )
-            < 1
-        ):
+        if min(self.max_worlds, self.max_domain, self.max_proof_depth) < 1:
             raise ValueError("bounds must be positive")
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError("deadline must be positive")
+        if self.deadline is not None and not 0 < self.deadline < math.inf:
+            raise ValueError("deadline must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -364,13 +365,12 @@ _BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags to binary digits
 def _no_countermodel(
     seq: Sequent, bounds: SearchBounds, stop_at: float | None
 ) -> Generator[None, None, bool]:
-    """Yields None after each valuation and every 64 tree nodes, then
-    returns True when the antecedent's tree shows that no countermodel
-    exists with at most `bounds.max_domain` elements and any number of
-    worlds (see the module docstring), or False at the first domain size
-    and valuation whose tree refutes the sequent.  Raises `_Deadline`
-    once the clock passes `stop_at`, read where it yields and before
-    each diamond of the consequent.
+    """Yields None every 64 tree nodes, then returns True when the
+    antecedent's trees with `bounds.max_domain` elements show that no
+    countermodel has at most that many (see the module docstring), or
+    False at the first valuation whose tree refutes the sequent.  Raises
+    `_Deadline` once the clock passes `stop_at`, read where it yields,
+    after each valuation and before each diamond of the consequent.
 
     A tree's worlds are numbered in creation order from the root 0, and
     `parent[u]` is the world whose diamond made u (-1 for the root), so
@@ -418,53 +418,39 @@ def _no_countermodel(
             return bits
         return full  # Top
 
+    size = bounds.max_domain
     steps = 0
-    for size in range(1, bounds.max_domain + 1):
-        for labels in _labellings(len(names), size):
-            env = dict(zip(names, labels))
-            atoms: dict[tuple[str, tuple[int, ...]], int] = {}
-            parent = [-1]
-            todo: list[tuple[Formula, int, dict]] = [(seq.ante, 0, env)]
-            while todo:
-                steps += 1
-                if steps % 64 == 0:
-                    if stop_at is not None and time.monotonic() > stop_at:
-                        raise _Deadline
-                    yield None
-                phi, w, local = todo.pop()
-                kind = type(phi)
-                if kind is Pred:
-                    args = tuple(local[a.id] if type(a) is Var else local[a.name] for a in phi.args)
-                    key = (phi.name, args)
-                    atoms[key] = atoms.get(key, 0) | 1 << w
-                elif kind is And:
-                    todo.append((phi.right, w, local))
-                    todo.append((phi.left, w, local))
-                elif kind is Diam:
-                    parent.append(w)
-                    todo.append((phi.body, len(parent) - 1, local))
-                elif kind is All:
-                    todo.extend((phi.body, w, {**local, phi.var: e}) for e in range(size))
-            full = (1 << len(parent)) - 1
-            if not holds(seq.cons, env) & 1:
-                return False
-            if stop_at is not None and time.monotonic() > stop_at:
-                raise _Deadline
-            yield None
+    for labels in _labellings(len(names), size):
+        env = dict(zip(names, labels))
+        atoms: dict[tuple[str, tuple[int, ...]], int] = {}
+        parent = [-1]
+        todo: list[tuple[Formula, int, dict]] = [(seq.ante, 0, env)]
+        while todo:
+            steps += 1
+            if steps % 64 == 0:
+                if stop_at is not None and time.monotonic() > stop_at:
+                    raise _Deadline
+                yield None
+            phi, w, local = todo.pop()
+            kind = type(phi)
+            if kind is Pred:
+                args = tuple(local[a.id] if type(a) is Var else local[a.name] for a in phi.args)
+                key = (phi.name, args)
+                atoms[key] = atoms.get(key, 0) | 1 << w
+            elif kind is And:
+                todo.append((phi.right, w, local))
+                todo.append((phi.left, w, local))
+            elif kind is Diam:
+                parent.append(w)
+                todo.append((phi.body, len(parent) - 1, local))
+            elif kind is All:
+                todo.extend((phi.body, w, {**local, phi.var: e}) for e in range(size))
+        full = (1 << len(parent)) - 1
+        if not holds(seq.cons, env) & 1:
+            return False
+        if stop_at is not None and time.monotonic() > stop_at:
+            raise _Deadline
     return True
-
-
-def _verdict(check: Generator[None, None, bool], pause_at: float | None = None) -> bool | None:
-    """Pull the steps of a `_no_countermodel` check to its verdict, or
-    (with `pause_at`) until the clock passes it, after at least one step,
-    and return None then."""
-    try:
-        while True:
-            next(check)
-            if pause_at is not None and time.monotonic() > pause_at:
-                return None
-    except StopIteration as done:
-        return done.value
 
 
 def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> None:
@@ -488,19 +474,34 @@ def _refutation(hit: tuple[RawModel, int, Assignment], seq: Sequent) -> Refuted:
     return Refuted(model, w, g)
 
 
-def _first_refutation(
-    candidates: Iterator[tuple[RawModel, int, Assignment] | None],
-    seq: Sequent,
-    pause_at: float | None = None,
-) -> Refuted | None:
-    """Pull candidates up to the first hit, or to the end, or (with
-    `pause_at`) until the clock passes it, after at least one candidate."""
-    for hit in candidates:
+def _refutations(
+    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None
+) -> Generator[None, None, Refuted | None]:
+    """The refutation half as a stream: the antecedent's tree check, then,
+    unless it shows that the bounds hold no countermodel, one step per
+    candidate up to the first hit.  Returns that hit, or None."""
+    if (yield from _no_countermodel(seq, bounds, stop_at)):
+        return None
+    for hit in _candidates(sig, seq, bounds, stop_at):
         if hit is not None:
             return _refutation(hit, seq)
-        if pause_at is not None and time.monotonic() > pause_at:
-            break
-    return None
+        yield None
+
+
+_T = TypeVar("_T")
+
+
+def _run(steps: Generator[None, None, _T], pause_at: float | None = None) -> _T | None:
+    """Pull a stream to its end and return its value, or (with
+    `pause_at`) until the clock passes it, after at least one step, and
+    return None then.  A stream that has ended returns None at once."""
+    try:
+        while True:
+            next(steps)
+            if pause_at is not None and time.monotonic() > pause_at:
+                return None
+    except StopIteration as done:
+        return done.value
 
 
 def refute(
@@ -510,11 +511,8 @@ def refute(
     order, or Exhausted, saying whether the bounds or the deadline ended
     the search.  Enumeration is skipped when the antecedent's tree shows
     that the bounds hold no countermodel."""
-    stop_at = _stop_at(bounds)
     try:
-        if _verdict(_no_countermodel(seq, bounds, stop_at)):
-            return Exhausted("no countermodel within bounds")
-        found = _first_refutation(_candidates(sig, seq, bounds, stop_at), seq)
+        found = _run(_refutations(sig, seq, bounds, _stop_at(bounds)))
     except _Deadline:
         return Exhausted("deadline reached")
     return found or Exhausted("no countermodel within bounds")
@@ -533,12 +531,11 @@ def enumerate_countermodels(
 
 
 class _ProofSearch:
-    """Instantiation terms and reserved constants are drawn lazily, in
-    order, so a large bound costs nothing until search gets that far."""
+    """Fresh variables and reserved constants are drawn lazily, in order,
+    so a large depth bound costs nothing until search gets that far."""
 
-    def __init__(self, seq: Sequent, sig: Signature, bounds: SearchBounds, stop_at: float | None):
+    def __init__(self, seq: Sequent, sig: Signature, stop_at: float | None):
         self.sig = sig
-        self.bounds = bounds
         self.stop_at = stop_at
         self.nodes = 0
         self.memo: dict[tuple[Formula, Formula], int] = {}
@@ -547,16 +544,9 @@ class _ProofSearch:
         self.terms = list(dict.fromkeys(chain(terms_of(seq.ante), terms_of(seq.cons))))
 
     def candidates(self) -> Iterator[Term]:
-        """The sequent's own terms, then `max_candidate_terms` variables
-        that occur nowhere in it."""
+        """The sequent's own terms, then two variables new to it."""
         fresh = (Var(v) for v in count() if v not in self.used_vars)
-        return chain(self.terms, islice(fresh, self.bounds.max_candidate_terms))
-
-    def reserved(self) -> Iterator[str]:
-        """The `max_proof_depth` constant names ``k0``, ``k1``, ... that
-        the signature does not declare."""
-        names = (f"k{i}" for i in count())
-        return islice((n for n in names if n not in self.sig.constants), self.bounds.max_proof_depth)
+        return chain(self.terms, islice(fresh, 2))
 
     def tick(self) -> None:
         self.nodes += 1
@@ -629,21 +619,19 @@ class _ProofSearch:
         variables = sorted(fv(ante) | fv(cons))
         if variables:
             c = self._fresh_const(ante, cons)
-            if c is not None:
-                for x in variables:
-                    p = self.dfs(
-                        sub(ante, x, Const(c)), sub(cons, x, Const(c)), depth - 1, path
-                    )
-                    if p is not None:
-                        return const_elim(ante, cons, x, c, p)
+            for x in variables:
+                p = self.dfs(sub(ante, x, Const(c)), sub(cons, x, Const(c)), depth - 1, path)
+                if p is not None:
+                    return const_elim(ante, cons, x, c, p)
         return None
 
-    def _fresh_const(self, ante: Formula, cons: Formula) -> str | None:
-        used = consts_of(ante) | consts_of(cons)
-        for name in self.reserved():
-            if name not in used:
-                return name
-        return None
+    def _fresh_const(self, ante: Formula, cons: Formula) -> str:
+        """The first of ``k0``, ``k1``, ... that neither the signature nor
+        the goal names.  Only this move adds one to a goal, so a goal
+        frozen below depth n holds at most n - 2 of them, and the name is
+        among the first n that the signature does not declare."""
+        used = consts_of(ante) | consts_of(cons) | self.sig.constants
+        return next(name for name in (f"k{i}" for i in count()) if name not in used)
 
 
 def _axiom_leaf(ante: Formula, cons: Formula) -> Derivation | None:
@@ -684,20 +672,28 @@ def _fresh_var(ante: Formula, cons: Formula) -> int:
     return v
 
 
+def _proofs(
+    seq: Sequent, sig: Signature, bounds: SearchBounds, stop_at: float | None
+) -> Generator[None, None, Derivation | None]:
+    """The proof half as a stream: iterative deepening, one depth per
+    step.  Returns the first derivation found, re-checked, or None."""
+    state = _ProofSearch(seq, sig, stop_at)
+    for depth in range(1, bounds.max_proof_depth + 1):
+        d = state.dfs(seq.ante, seq.cons, depth, set())
+        if d is not None:
+            return _rechecked(d, seq, sig)
+        yield None
+
+
 def proof_search(
     seq: Sequent, sig: Signature, bounds: SearchBounds = SearchBounds()
 ) -> Derivation | None:
     """Iterative-deepening backward search; any result re-checks to the
     goal sequent (under the signature extended with reserved constants)."""
-    state = _ProofSearch(seq, sig, bounds, _stop_at(bounds))
-    for depth in range(1, bounds.max_proof_depth + 1):
-        try:
-            d = state.dfs(seq.ante, seq.cons, depth, set())
-        except _Deadline:
-            return None
-        if d is not None:
-            return _rechecked(d, seq, sig)
-    return None
+    try:
+        return _run(_proofs(seq, sig, bounds, _stop_at(bounds)))
+    except _Deadline:
+        return None
 
 
 def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
@@ -714,38 +710,28 @@ def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
 def decide(
     seq: Sequent, sig: Signature, bounds: SearchBounds = SearchBounds()
 ) -> SearchOutcome:
-    """Interleave proof search and countermodel enumeration in equal time.
+    """Take turns between the proof and refutation halves in equal time.
 
-    After each proof depth, the antecedent's tree check and then
-    candidate models run for as long as that depth took (at least one
-    step each), so no side waits on the others for more than twice the
-    time it spends itself.  The check drops out once it finishes; when
-    it shows that no countermodel exists, enumeration is dropped too and
-    proof search has the rest of the time.  Once the depths are spent,
-    the check and then enumeration run to their end.  Proved and Refuted
-    outcomes are re-verified before being returned.
+    Each turn runs one proof depth, then the refutation stream (the
+    antecedent's tree check, then candidate models unless the check
+    clears the sequent) for as long as that depth took, at least one
+    step, so neither half waits on the other for more than twice the
+    time it spends itself.  Once the depths are spent, the refutation
+    stream runs to its end.  Both certificates are re-verified.
     """
     stop_at = _stop_at(bounds)
-    state = _ProofSearch(seq, sig, bounds, stop_at)
-    tree = _no_countermodel(seq, bounds, stop_at)
-    clear = None
-    candidates = _candidates(sig, seq, bounds, stop_at)
+    proofs = _proofs(seq, sig, bounds, stop_at)
+    refutations = _refutations(sig, seq, bounds, stop_at)
     try:
-        for depth in range(1, bounds.max_proof_depth + 1):
+        for _ in range(bounds.max_proof_depth):
             started = time.monotonic()
-            d = state.dfs(seq.ante, seq.cons, depth, set())
+            d = _run(proofs, started)  # pauses after one step: one depth
             if d is not None:
-                return Proved(_rechecked(d, seq, sig))
-            took = time.monotonic() - started
-            if clear is None:
-                clear = _verdict(tree, time.monotonic() + took)
-            if not clear:
-                refuted = _first_refutation(candidates, seq, time.monotonic() + took)
-                if refuted is not None:
-                    return refuted
-        if clear is None:
-            clear = _verdict(tree)
-        refuted = None if clear else _first_refutation(candidates, seq)
+                return Proved(d)
+            refuted = _run(refutations, 2 * time.monotonic() - started)
+            if refuted is not None:
+                return refuted
+        refuted = _run(refutations)
     except _Deadline:
         return Exhausted("deadline reached")
     return refuted or Exhausted(

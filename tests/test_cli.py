@@ -314,6 +314,30 @@ def test_usage_error_exit_code(capsys):
     assert main(["sat"]) == 64
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["decide", "T ~> T", "--max-worlds", "0"], "--max-worlds"),
+        (["decide", "T ~> T", "--max-domain", "0"], "--max-domain"),
+        (["decide", "T ~> T", "--max-depth", "0"], "--max-depth"),
+        (["countermodel", "T ~> T", "--max-worlds", "-1"], "--max-worlds"),
+        (["decide", "T ~> T", "--timeout", "0"], "--timeout"),
+        (["decide", MANY_VARIABLES, "--timeout", "nan"], "--timeout"),
+        (["countermodel", "T ~> T", "--timeout", "inf"], "--timeout"),
+        (["soundness", "proof.qpf", "--models", "-5"], "--models"),
+        (["soundness", "proof.qpf", "--samples", "-1"], "--samples"),
+        (["soundness", "proof.qpf", "--max-domain", "0"], "--max-domain"),
+    ],
+)
+def test_out_of_range_numeric_options_are_usage_errors(capsys, argv, option):
+    # checked before any file is read or any search starts
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith(f"usage: qrc1 {argv[0]}")
+    assert f"argument {option}:" in err
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch, trans_proof, one_world):
     import qrc1.cli as cli
 

@@ -46,9 +46,8 @@ from qrc1.search import (
     _Deadline,
     _axiom_leaf,
     _candidates,
-    _first_refutation,
     _no_countermodel,
-    _verdict,
+    _run,
 )
 
 SIG = signature(["c"], {"P": 1, "Q": 1})
@@ -188,12 +187,14 @@ def test_proof_search_uses_instantiation_terms():
 
 
 def test_proof_search_freezes_variables_with_reserved_constants():
-    goal = seq("A x . A y . (P(x) & T) ~> P(y)")
-    d = proof_search(goal, SIG, SearchBounds())
-    assert d is not None
-    ext = used_signature(SIG, d)
-    assert ext.constants - SIG.constants == {"k0"}
-    assert check(d, ext) == goal
+    # the reserved names skip declared ones
+    for sig, reserved in ((SIG, "k0"), (signature(["c", "k0"], {"P": 1, "Q": 1}), "k1")):
+        goal = parse_sequent("A x . A y . (P(x) & T) ~> P(y)", sig)
+        d = proof_search(goal, sig, SearchBounds())
+        assert d is not None
+        ext = used_signature(sig, d)
+        assert ext.constants - sig.constants == {reserved}
+        assert check(d, ext) == goal
 
 
 def test_axiom_leaf_recognizers():
@@ -245,6 +246,12 @@ def test_decide_reports_exhaustion_inside_too_small_bounds():
 
 # a deadline of 0.3 s must be met to within this slack
 DEADLINE_SLACK = 0.1
+
+
+@pytest.mark.parametrize("deadline", [0, -1.0, float("nan"), float("inf")])
+def test_bounds_refuse_a_deadline_that_is_not_positive_and_finite(deadline):
+    with pytest.raises(ValueError):
+        SearchBounds(deadline=deadline)
 
 
 def _elapsed(fn, *args):
@@ -302,7 +309,7 @@ def test_deadline_is_read_between_the_valuations_of_a_candidate():
     # has 2**17 valuations
     start = time.monotonic()
     with pytest.raises(_Deadline):
-        _first_refutation(_candidates(sig, goal, bounds, start + 0.3), goal)
+        _run(_candidates(sig, goal, bounds, start + 0.3))
     assert time.monotonic() - start < 0.3 + DEADLINE_SLACK
 
 
@@ -318,10 +325,9 @@ def test_tree_check_takes_turns_with_proof_search():
 
 
 def test_large_bounds_cost_nothing_up_front():
-    # instantiation terms and reserved constants are drawn as search needs
-    # them; building all 10**6 of each up front would take seconds and
-    # ~190 MB
-    bounds = SearchBounds(max_proof_depth=10**6, max_candidate_terms=10**6, deadline=0.2)
+    # reserved constants are drawn as search needs them; building one per
+    # depth, 10**6 of them, up front would take seconds and ~60 MB
+    bounds = SearchBounds(max_proof_depth=10**6, deadline=0.2)
     for text in (
         "pred P/1. P(x) ~> <> P(x)",
         # valid and past proof search: every depth tries every fresh term
@@ -545,7 +551,7 @@ def test_no_countermodel_agrees_with_the_reference_enumerator():
             cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             checked.append((sig, Sequent(ante, cons), bounds))
     for sig, goal, bounds in checked:
-        clear = _verdict(_no_countermodel(goal, bounds, None))
+        clear = _run(_no_countermodel(goal, bounds, None))
         refuted = _reference_hit(sig, goal, bounds)
         assert not (clear and refuted), goal
         futile += clear
@@ -559,8 +565,30 @@ def test_no_countermodel_checks_every_domain_size():
     sig = signature([], {"P": 1})
     goal = parse_sequent("A x . <> P(x) ~> <> A x . P(x)", sig)
     one, two = SearchBounds(3, 1), SearchBounds(3, 2)
-    assert _verdict(_no_countermodel(goal, one, None)) and not _reference_hit(sig, goal, one)
-    assert not _verdict(_no_countermodel(goal, two, None)) and _reference_hit(sig, goal, two)
+    assert _run(_no_countermodel(goal, one, None)) and not _reference_hit(sig, goal, one)
+    assert not _run(_no_countermodel(goal, two, None)) and _reference_hit(sig, goal, two)
+
+
+def test_tree_verdict_is_monotone_in_the_domain_size():
+    # copying an element preserves every formula, so a sequent the trees
+    # refute with d elements they refute with d + 1; checking d =
+    # max_domain alone then agrees with checking every d up to it
+    sig = signature(["c"], {"P": 1, "S": 2})
+    rng = random.Random(7)
+    goals = [parse_problem("pred P/1. A x . A y . <> (P(x) & P(y)) ~> <> A x . P(x)")[1]]
+    for _ in range(1000):
+        ante = random_formula(rng, sig, (0, 1, 2), rng.randint(0, 4))
+        cons = random_formula(rng, sig, (0, 1, 2), rng.randint(0, 4))
+        goals.append(Sequent(ante, cons))
+    patterns = set()
+    for goal in goals:
+        clear = [_run(_no_countermodel(goal, SearchBounds(max_domain=d), None)) for d in (1, 2, 3)]
+        assert clear == sorted(clear, reverse=True), goal
+        patterns.add(tuple(clear))
+    # the first goal is refuted from three elements on, the others change
+    # verdict at most between one and two
+    assert patterns == {(True, True, True), (True, True, False), (True, False, False),
+                        (False, False, False)}
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
