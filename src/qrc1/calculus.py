@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import dataclass, field
-from typing import Any
 
 from .language import (
     All,
@@ -38,8 +36,10 @@ from .language import (
     Term,
     TOP,
     Var,
+    _Value,
     consts_of,
     freefor,
+    fresh,
     fv,
     generalize,
     occurs_const,
@@ -49,6 +49,10 @@ from .language import (
 )
 from . import syntax
 from .syntax import SymbolTable
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 # premise count, formula-parameter names, and extra parameters per rule tag
 _RULES: dict[str, tuple[int, tuple[str, ...], frozenset[str]]] = {
@@ -102,8 +106,7 @@ class ProofFormatError(ValueError):
     """Malformed proof file contents."""
 
 
-@dataclass(frozen=True, slots=True)
-class Derivation:
+class Derivation(_Value):
     rule: str
     formulas: tuple[Formula, ...] = ()
     var: int | None = None
@@ -454,11 +457,10 @@ def used_signature(sig: Signature, d: Derivation) -> Signature:
 # -- proof file format -----------------------------------------------
 
 
-@dataclass
-class LoadedProof:
+class LoadedProof(_Value):
     sig: Signature
     derivation: Derivation
-    table: SymbolTable = field(default_factory=SymbolTable)
+    table: SymbolTable = fresh(SymbolTable)
 
 
 def dump_proof(d: Derivation, sig: Signature, table: SymbolTable | None = None) -> dict[str, Any]:

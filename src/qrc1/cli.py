@@ -3,7 +3,7 @@
 Exit codes: 0 success (for `decide`: proved), 1 negative result (invalid
 proof, inadequate model, refuted sequent), 2 search exhausted, 64 usage
 errors, 65 parse or file-format errors and input nested too deep, 70
-internal errors.
+internal errors, 74 a closed standard output.
 """
 
 from __future__ import annotations
@@ -13,19 +13,22 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 from itertools import islice
-from typing import Any
 
 from . import calculus, generate, search, semantics, syntax
 from .calculus import CheckError, ProofFormatError, _gc_paused
 from .semantics import ModelFormatError
 from .syntax import ParseError, SymbolTable
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
+
 EX_USAGE = 64
 EX_DATA = 65
 EX_INTERNAL = 70
+EX_IOERR = 74
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -257,6 +260,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:
+    import random
+
     loaded = calculus.load_proof(_read(args.proof))
     seq = calculus.check(loaded.derivation, loaded.sig)  # raises CheckError via main
     seed = int(os.environ.get("QRC1_SEED", "0"))
@@ -297,7 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so that a closed standard output shows here
+        return code
     except (ParseError, ProofFormatError, ModelFormatError, json.JSONDecodeError) as e:
         print(f"qrc1: {e}", file=sys.stderr)
         return EX_DATA
@@ -310,6 +317,11 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("qrc1: nesting too deep: input exceeds the recursion limit", file=sys.stderr)
         return EX_DATA
+    except BrokenPipeError:
+        # the reader is gone; writing the rest to os.devnull keeps the
+        # flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EX_IOERR
     except Exception as e:  # any other escape would exit 1, a verdict
         print(f"qrc1: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_INTERNAL

@@ -20,12 +20,9 @@ local construction.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterator, Sequence
 
-from .language import All, And, Diam, Formula, Const, Pred, Signature, Term, TOP, Var
+from .language import All, And, Diam, Formula, Const, Pred, Signature, Term, TOP, Var, _Value
 from .semantics import (
     Model,
     RawFrame,
@@ -33,9 +30,13 @@ from .semantics import (
     validate_model,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+    from typing import Iterator, Sequence
 
-@dataclass(frozen=True)
-class GenBounds:
+
+class GenBounds(_Value):
     """Size caps for generated models."""
 
     max_worlds: int = 4
@@ -162,23 +163,12 @@ def generate_models(
     sig: Signature, bounds: GenBounds = GenBounds(), seed: int = 0
 ) -> Iterator[Model]:
     """Endless stream of adequate models, alternating the two families."""
+    import random
+
     rng = random.Random(seed)
     while True:
         yield _constant_domain_model(sig, bounds, rng)
         yield _tree_model(sig, bounds, rng)
-
-
-def random_signature(
-    rng: random.Random,
-    max_constants: int = 2,
-    max_predicates: int = 2,
-    max_arity: int = 2,
-) -> Signature:
-    """Small random signature drawn from fixed name pools."""
-    consts = ["c", "d", "e", "f"][: rng.randint(0, max_constants)]
-    names = ["P", "Q", "R", "S"][: rng.randint(1, max_predicates)]
-    preds = {name: rng.randint(1, max_arity) for name in names}
-    return Signature(frozenset(consts), preds)
 
 
 def random_formula(

@@ -8,35 +8,112 @@ value comparing structurally: ``All(0, P(0))`` and ``All(1, P(1))`` are
 different formulas, and no alpha-equivalence is provided.
 
 A formula stores a few facts about itself the first time they are asked
-for, as attributes set the way a frozen dataclass sets its own fields:
-its hash, its free variables (`fv`), all its variables (`all_vars`) and
-its constants (`consts_of`).  So a repeated question costs one attribute
-read instead of a walk over the whole formula, and each answer lives
-exactly as long as its formula.  The stored hash is the value the
-dataclass computes from the fields, so equality, hashing, `repr` and set
-order are those of plain frozen dataclasses.  The stored sets are shared
+for, in slots set past the refusing `__setattr__`: its hash, its free
+variables (`fv`), all its variables (`all_vars`) and its constants
+(`consts_of`).  So a repeated question costs one attribute read instead
+of a walk over the whole formula, and each answer lives exactly as long
+as its formula.  The stored hash is the hash of the tuple of the fields,
+the one every value class computes (see `_ValueType`), so storing it
+changes no equality, hash, `repr` or set order.  The stored sets are shared
 wherever they can be: a node whose set adds nothing to a child's stores
 the child's, and every empty set is one frozenset.  No tuple of
 subformulas is stored: one per formula costs more memory than the walks
 it saves (`subformulas` walks afresh each time).  The stored values hold
-for the running process only, so a formula is not meant to be pickled.
+for the running process only, and pickling a formula drops them.
+
+The value classes of the package are built by `_ValueType`, not by the
+standard library's generator of such classes: importing that module loads
+`inspect`, `ast` and `dis`, and it takes about a millisecond per class,
+which together was about a third of the start-up time of a one-shot
+``qrc1 decide``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Any, Iterable, Iterator, Mapping
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Callable, Iterable, Iterator, Mapping
 
 
-@dataclass(frozen=True)
-class Var:
+class fresh:
+    """A field default made anew for each instance by calling `make`."""
+
+    def __init__(self, make: Callable[[], Any]) -> None:
+        self.make = make
+
+
+class _ValueType(type):
+    """Builds a value class with slots.  The names annotated in the class
+    body are its fields, in order, and a value given to one is its default.
+    The class gets a slot per field, `__match_args__` naming the fields, an
+    `__init__` that calls `__post_init__` when the class has one, `==` by
+    exact type and the tuple of the fields, and the hash of that tuple,
+    which a class with a `_hash` slot computes once and stores there.  The
+    three are compiled from straight-line source per class, since a loop
+    over the fields makes `==` more than twice as slow."""
+
+    def __new__(mcs, name: str, bases: tuple, ns: dict) -> type:
+        fields = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in fields if f in ns}
+        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
+        ns["__match_args__"] = fields
+        cls = super().__new__(mcs, name, bases, ns)
+        scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
+        scope.update({f"_d_{f}": d for f, d in defaults.items()})
+        params = ", ".join(f"{f}=_d_{f}" if f in defaults else f for f in fields)
+        sets = "".join(
+            f" _set_{f}(self, _d_{f}.make() if {f} is _d_{f} else {f})\n"
+            if isinstance(defaults.get(f), fresh) else f" _set_{f}(self, {f})\n"
+            for f in fields
+        )
+        post = " self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+        # as tuples compare: identity first, then ==
+        same = " and ".join(f"(self.{f} is other.{f} or self.{f} == other.{f})" for f in fields)
+        key = "(" + "".join(f"self.{f}," for f in fields) + ")"
+        if hasattr(cls, "_hash"):
+            scope["_set_hash"] = cls._hash.__set__
+            hash_body = (" try:\n  return self._hash\n except AttributeError:\n"
+                         f"  h = hash({key})\n  _set_hash(self, h)\n  return h\n")
+        else:
+            hash_body = f" return hash({key})\n"
+        exec(
+            f"def __init__(self, {params}):\n{sets}{post} pass\n"
+            "def __eq__(self, other):\n"
+            f" if other.__class__ is self.__class__:\n  return {same or True}\n"
+            " return NotImplemented\n"
+            f"def __hash__(self):\n{hash_body}",
+            scope,
+        )
+        cls.__init__, cls.__eq__, cls.__hash__ = (
+            scope["__init__"], scope["__eq__"], scope["__hash__"])
+        return cls
+
+
+class _Value(metaclass=_ValueType):
+    """Base of the value classes (see `_ValueType`): immutable, with the
+    `repr` ``Name(field=value, ...)``."""
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return "{}({})".format(type(self).__qualname__, ", ".join(
+            f"{f}={getattr(self, f)!r}" for f in self.__match_args__))
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, f) for f in self.__match_args__])
+
+
+class Var(_Value):
     """Variable term, identified by a natural number."""
 
     id: int
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Value):
     """Constant term; the name must be declared in the ambient signature."""
 
     name: str
@@ -45,8 +122,7 @@ class Const:
 Term = Var | Const
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(_Value):
     """Declared constant names and predicate names with their arities.
 
     The constant and predicate name sets must be disjoint.  One signature
@@ -75,55 +151,32 @@ def signature(
     return Signature(frozenset(constants), dict(predicates))
 
 
-def _stores_hash(cls: type) -> type:
-    """Make the dataclass hash of `cls`, the hash of the tuple of its
-    fields, computed once per instance and stored on it.  The tuple is
-    hashed here, not through the dataclass's own `__hash__`, so hashing
-    takes one Python frame per level of nesting, and a deep formula
-    meets the recursion limit no sooner than plain recursion does."""
-    names = [f.name for f in fields(cls)]
+class _Formula(_Value):
+    """Base of the formula classes: slots for the stored facts (see the
+    module docstring), and weak references."""
 
-    def __hash__(self: Any) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(tuple([getattr(self, n) for n in names]))
-            object.__setattr__(self, "_hash", h)
-            return h
-
-    cls.__hash__ = __hash__
-    return cls
+    __slots__ = ("_hash", "_fv", "_vars", "_consts", "__weakref__")
 
 
-@_stores_hash
-@dataclass(frozen=True)
-class Top:
+class Top(_Formula):
     """The verum constant."""
 
 
-@_stores_hash
-@dataclass(frozen=True)
-class Pred:
+class Pred(_Formula):
     name: str
     args: tuple[Term, ...]
 
 
-@_stores_hash
-@dataclass(frozen=True)
-class And:
+class And(_Formula):
     left: Formula
     right: Formula
 
 
-@_stores_hash
-@dataclass(frozen=True)
-class Diam:
+class Diam(_Formula):
     body: Formula
 
 
-@_stores_hash
-@dataclass(frozen=True)
-class All:
+class All(_Formula):
     var: int
     body: Formula
 
@@ -133,8 +186,7 @@ Formula = Top | Pred | And | Diam | All
 TOP = Top()
 
 
-@dataclass(frozen=True)
-class Sequent:
+class Sequent(_Value):
     """The judgment ``ante ~> cons``: the consequent follows from the antecedent."""
 
     ante: Formula
@@ -283,10 +335,6 @@ def well_formed(phi: Formula, sig: Signature) -> bool:
     if isinstance(phi, (Diam, All)):
         return well_formed(phi.body, sig)
     return True
-
-
-def well_formed_sequent(seq: Sequent, sig: Signature) -> bool:
-    return well_formed(seq.ante, sig) and well_formed(seq.cons, sig)
 
 
 def subformulas(phi: Formula) -> Iterator[Formula]:

@@ -66,11 +66,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import chain, count, islice, product
-from typing import Generator, Iterable, Iterator, TypeVar
-
-import random
 
 from .calculus import (
     Derivation,
@@ -102,6 +98,7 @@ from .language import (
     Term,
     TOP,
     Var,
+    _Value,
     all_vars,
     consts_of,
     freefor,
@@ -121,9 +118,13 @@ from .semantics import (
     validate_model,
 )
 
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    import random
+    from typing import Any, Generator, Iterable, Iterator
 
-@dataclass(frozen=True)
-class SearchBounds:
+
+class SearchBounds(_Value):
     max_worlds: int = 4
     max_domain: int = 3
     max_proof_depth: int = 8
@@ -136,20 +137,17 @@ class SearchBounds:
             raise ValueError("deadline must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Proved:
+class Proved(_Value):
     derivation: Derivation
 
 
-@dataclass(frozen=True)
-class Refuted:
+class Refuted(_Value):
     model: Model
     world: int
     assignment: Assignment
 
 
-@dataclass(frozen=True)
-class Exhausted:
+class Exhausted(_Value):
     reason: str
 
 
@@ -177,6 +175,8 @@ def soundness_check(
     fails, over every world of every supplied model with randomly sampled
     assignments.  A hit would indicate a kernel bug.
     """
+    import random
+
     rng = rng or random.Random(0)
     seq = conclusion(d)
     variables = sorted(fv(seq.ante) | fv(seq.cons))
@@ -488,10 +488,7 @@ def _refutations(
         yield None
 
 
-_T = TypeVar("_T")
-
-
-def _run(steps: Generator[None, None, _T], pause_at: float | None = None) -> _T | None:
+def _run(steps: Generator[None, None, Any], pause_at: float | None = None) -> Any:
     """Pull a stream to its end and return its value, or (with
     `pause_at`) until the clock passes it, after at least one step, and
     return None then.  A stream that has ended returns None at once."""

@@ -20,11 +20,7 @@ represented as a default element plus finitely many overrides.
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Iterable, Mapping
 
 from .language import (
     All,
@@ -35,8 +31,14 @@ from .language import (
     Signature,
     Term,
     Var,
+    _Value,
+    fresh,
 )
 from .syntax import signature_from_json, signature_to_json
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any, Iterable, Mapping
 
 
 class InternalError(Exception):
@@ -55,14 +57,16 @@ class ModelFormatError(ValueError):
     """Malformed model file contents."""
 
 
-@dataclass(frozen=True)
-class RawFrame:
+class RawFrame(_Value):
     """Worlds 0..worlds-1, relation, domain sizes, and eta tables.
 
     ``domains[w]`` is the size of world w's domain, whose elements are
     0..size-1.  ``eta[w][u]`` maps each element of w's domain to an
     element of u's domain, and is present for every ordered pair.
+    ``succ[w]``, not a field, lists the worlds related to w in ascending order.
     """
+
+    __slots__ = ("succ",)
 
     worlds: int
     rel: frozenset[tuple[int, int]]
@@ -87,18 +91,13 @@ class RawFrame:
                     raise ValueError(f"eta[{w}][{u}] has wrong source size")
                 if any(not 0 <= v < self.domains[u] for v in row):
                     raise ValueError(f"eta[{w}][{u}] maps outside the target domain")
-
-    @cached_property
-    def succ(self) -> tuple[tuple[int, ...], ...]:
-        """``succ[w]``: the worlds related to w, in ascending order."""
         rows: list[list[int]] = [[] for _ in range(self.worlds)]
         for w, u in sorted(self.rel):
             rows[w].append(u)
-        return tuple(tuple(row) for row in rows)
+        object.__setattr__(self, "succ", tuple(tuple(row) for row in rows))
 
 
-@dataclass(frozen=True)
-class RawModel:
+class RawModel(_Value):
     """A raw frame plus constant and predicate interpretations per world."""
 
     sig: Signature
@@ -141,8 +140,7 @@ def _validate_interps(m: RawModel) -> None:
                     )
 
 
-@dataclass(frozen=True)
-class AdequacyReport:
+class AdequacyReport(_Value):
     """Outcome of the four adequacy checks: each passes when its witness
     is None, and otherwise the witness is the first failure found.
 
@@ -181,8 +179,7 @@ class AdequacyReport:
         )
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Value):
     """A raw model that passed `check_adequacy`; build it with
     `validate_model`."""
 
@@ -254,13 +251,12 @@ def validate_model(raw: RawModel) -> Model:
 # -- assignments -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(_Value):
     """Total valuation of variables at a world: default plus overrides."""
 
     world: int
     default: int
-    overrides: Mapping[int, int] = field(default_factory=dict)
+    overrides: Mapping[int, int] = fresh(dict)
 
     def __call__(self, x: int) -> int:
         return self.overrides.get(x, self.default)
@@ -312,17 +308,6 @@ def eta_compose(m: Model | RawModel, w: int, u: int, g: Assignment) -> Assignmen
 def xeq(g: Assignment, h: Assignment, gamma: Iterable[int]) -> bool:
     """Agreement on every variable in gamma."""
     return all(g(x) == h(x) for x in gamma)
-
-
-def xaltern(
-    g: Assignment, h: Assignment, gamma: frozenset[int] | set[int], probe: Iterable[int]
-) -> bool:
-    """Agreement on every probed variable outside gamma.
-
-    The probe must cover all variables the caller cares about; use
-    `xaltern_support` for the full extensional check.
-    """
-    return all(g(x) == h(x) for x in probe if x not in gamma)
 
 
 def xaltern_support(
@@ -413,7 +398,7 @@ def replace_interp(m: Model | RawModel, w: int, c: str, d: int) -> RawModel:
         {**raw.const_interp[u], c: raw.frame.eta[w][u][d]}
         for u in range(raw.frame.worlds)
     )
-    return dataclasses.replace(raw, const_interp=new_ci)
+    return RawModel(raw.sig, raw.frame, new_ci, raw.pred_interp)
 
 
 def cone_worlds(m: Model | RawModel, w: int) -> list[int]:

@@ -26,7 +26,6 @@ original spelling, so parse and print round-trip.
 from __future__ import annotations
 
 import re
-from typing import Any
 
 from .language import (
     All,
@@ -42,6 +41,10 @@ from .language import (
     TOP,
     Var,
 )
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Any
 
 _RESERVED = frozenset({"T", "A"})
 
@@ -266,14 +269,6 @@ def parse_term(text: str, sig: Signature, table: SymbolTable | None = None) -> T
     out = p.term()
     p.expect_end()
     return out
-
-
-def parse_signature(text: str) -> Signature:
-    """Parse a text consisting only of `const`/`pred` declarations."""
-    p = _Parser(text, None, SymbolTable())
-    sig = p.declarations()
-    p.expect_end()
-    return sig
 
 
 def parse_problem(text: str, table: SymbolTable | None = None) -> tuple[Signature, Sequent]:

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from itertools import chain, product
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 import hypothesis.strategies as st
 
@@ -556,3 +557,38 @@ class _Loader:
             return Derivation(rule, formulas, var, term, const, premises)
         except ValueError as e:
             raise ProofFormatError(f"{_where(at)}: {e}") from e
+
+
+# -- helpers only the tests use ----------------------------------------
+
+
+def parse_signature(text: str) -> Signature:
+    """Parse a text consisting only of `const`/`pred` declarations."""
+    p = syntax._Parser(text, None, SymbolTable())
+    sig = p.declarations()
+    p.expect_end()
+    return sig
+
+
+def random_signature(
+    rng: random.Random,
+    max_constants: int = 2,
+    max_predicates: int = 2,
+    max_arity: int = 2,
+) -> Signature:
+    """Small random signature drawn from fixed name pools."""
+    consts = ["c", "d", "e", "f"][: rng.randint(0, max_constants)]
+    names = ["P", "Q", "R", "S"][: rng.randint(1, max_predicates)]
+    preds = {name: rng.randint(1, max_arity) for name in names}
+    return Signature(frozenset(consts), preds)
+
+
+def xaltern(
+    g: Assignment, h: Assignment, gamma: frozenset[int] | set[int], probe: Iterable[int]
+) -> bool:
+    """Agreement on every probed variable outside gamma.
+
+    The probe must cover all variables the caller cares about; use
+    `xaltern_support` for the full extensional check.
+    """
+    return all(g(x) == h(x) for x in probe if x not in gamma)

@@ -47,9 +47,9 @@ from qrc1.calculus import (
     PREMISE_MISMATCH,
     VAR_NOT_FRESH,
 )
-from qrc1.generate import random_formula, random_signature
+from qrc1.generate import random_formula
 
-from conftest import SIG
+from conftest import SIG, random_signature
 
 X, Y, Z = 0, 1, 2
 

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import qrc1
 from qrc1 import (
     TOP,
     Diam,
@@ -631,3 +636,85 @@ def test_malformed_files_never_crash_the_cli(capsys, tmp_path, data):
         code, _, err = run(capsys, *argv)
         assert code in (0, 1, 65), (argv, text, err)
         assert "Traceback" not in err and err.count("\n") <= 1
+
+
+_SEQUENT_BASES = [
+    "pred P/1. <> <> P(x) ~> <> P(x)",
+    "const c. pred S/2. A x . <> S(x, c) & T ~> <> A y . S(y, c)",
+]
+_FORMULA_BASES = ["<> P(c)", "A x . P(x) & <> P(y)"]
+_ASSIGN_BASES = ["x=1,y=0", "x=0"]
+_pieces = st.sampled_from(
+    ["", " ", "<>", "~>", "&", "A", "x", ".", "(", ")", ",", "=", "P", "c", "T", "1", "-1",
+     "pred", "const", "/", "9" * 30]
+) | st.text(max_size=2)
+
+
+def _mutated(data, text):
+    """`text` with one to three spans of up to three characters replaced."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(text)))
+        j = data.draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + data.draw(_pieces) + text[j:]
+    return text
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.data())
+def test_malformed_arguments_never_crash_the_cli(capsys, one_world, data):
+    """A mutated sequent for `decide` and `countermodel`, and a mutated
+    `--formula` and `--assign` for `sat`: every command exits with a
+    verdict, 64 or 65, never 70, and with one line on stderr (a usage
+    error prints argparse's usage above it)."""
+    sequent = _mutated(data, data.draw(st.sampled_from(_SEQUENT_BASES)))
+    formula = _mutated(data, data.draw(st.sampled_from(_FORMULA_BASES)))
+    assign = _mutated(data, data.draw(st.sampled_from(_ASSIGN_BASES)))
+    bounds = ["--max-worlds", "2", "--max-domain", "2", "--timeout", "0.1"]
+    for argv in (
+        ["decide", sequent, "--json", "--max-depth", "3", *bounds],
+        ["countermodel", sequent, *bounds],
+        ["sat", one_world, "--world", "0", "--formula", formula, "--assign", assign],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 64, 65), (argv, err)
+        assert "Traceback" not in err and (code == 64 or err.count("\n") <= 1), (argv, err)
+
+
+# -- the process: start-up, `python -m qrc1`, a closed standard output --
+
+
+def _python(*args, stdout=subprocess.PIPE, unbuffered=True):
+    """Run the interpreter on this checkout's package in a fresh process."""
+    src = str(Path(qrc1.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, text=True, timeout=60)
+
+
+def test_importing_the_cli_loads_no_dataclasses_typing_or_random():
+    # -S: a site .pth file may import typing or random on its own
+    out = _python("-S", "-c", "import sys, qrc1.cli; print(*sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert not set(out.stdout.split()) & {"dataclasses", "inspect", "typing", "random"}
+
+
+def test_python_dash_m_runs_the_cli():
+    out = _python("-m", "qrc1", "decide", "pred P/1. <> <> P(x) ~> <> P(x)", "--json")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["outcome"] == "Proved"
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_standard_output_exits_74_quietly(unbuffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before anything is written
+    try:
+        out = _python("-m", "qrc1", "decide", "pred P/1. <> <> P(x) ~> <> P(x)", "--json",
+                      stdout=write_end, unbuffered=unbuffered)
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (74, "")

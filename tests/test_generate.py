@@ -3,8 +3,10 @@ from itertools import islice
 import pytest
 
 from qrc1 import check_adequacy, dump_model, signature
-from qrc1.generate import GenBounds, generate_models, random_formula, random_signature
+from qrc1.generate import GenBounds, generate_models, random_formula
 import random
+
+from conftest import random_signature
 
 SIG = signature(["c", "d"], {"P": 1, "S": 2})
 BOUNDS = GenBounds(max_worlds=4, max_domain=3)

@@ -22,7 +22,6 @@ from qrc1 import (
     sat,
     signature,
     validate_model,
-    xaltern,
     xaltern_support,
     xeq,
 )
@@ -36,6 +35,7 @@ from conftest import (
     sat_reference,
     single_world_model,
     two_world_chain,
+    xaltern,
 )
 
 X, Y = 0, 1

@@ -17,11 +17,10 @@ from qrc1 import (
     parse_formula,
     parse_problem,
     parse_sequent,
-    parse_signature,
     signature,
 )
 
-from conftest import SIG, formulas
+from conftest import SIG, formulas, parse_signature
 
 
 def test_parse_top():
