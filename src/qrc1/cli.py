@@ -3,7 +3,7 @@
 Exit codes: 0 success (for `decide`: proved), 1 negative result (invalid
 proof, inadequate model, refuted sequent), 2 search exhausted, 64 usage
 errors, 65 parse or file-format errors and input nested too deep, 70
-internal errors, 74 a closed standard output.
+internal errors, 74 a failed write to standard output.
 """
 
 from __future__ import annotations
@@ -17,13 +17,15 @@ import sys
 from itertools import islice
 
 from . import calculus, generate, search, semantics, syntax
-from .calculus import CheckError, ProofFormatError, _gc_paused
+from .calculus import CheckError, _gc_paused
 from .semantics import ModelFormatError
 from .syntax import ParseError, SymbolTable
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from typing import Any
+
+    from .language import Sequent, Signature
 
 EX_USAGE = 64
 EX_DATA = 65
@@ -59,7 +61,6 @@ def _build_parser() -> _ArgumentParser:
 
     p = sub.add_parser("check", help="check a proof file and print the proved sequent")
     p.add_argument("proof", help="path to a .qpf proof file")
-    p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser("sat", help="evaluate a formula in a model file")
     p.add_argument("model", help="path to a .qkm model file")
@@ -67,11 +68,9 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--assign", default="", help='overrides, e.g. "x=2,y=0"')
     p.add_argument("--default", type=int, default=0, dest="default_elem")
-    p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser("adequate", help="print the adequacy report of a model file")
     p.add_argument("model", help="path to a .qkm model file")
-    p.add_argument("--json", action="store_true", dest="as_json")
 
     for name, help_text in (
         ("countermodel", "search for a countermodel to a sequent"),
@@ -84,19 +83,18 @@ def _build_parser() -> _ArgumentParser:
         if name == "decide":
             p.add_argument("--max-depth", type=count, default=8)
         p.add_argument("--timeout", type=seconds, default=None, metavar="SECS")
-        p.add_argument("--json", action="store_true", dest="as_json")
 
     p = sub.add_parser(
         "soundness",
-        help="probe a proof's conclusion on generated adequate models "
-        "(seeded by QRC1_SEED)",
+        help="probe a proof's conclusion on generated adequate models (seeded by QRC1_SEED)",
     )
     p.add_argument("proof", help="path to a .qpf proof file")
     p.add_argument("--models", type=count, default=200)
     p.add_argument("--samples", type=count, default=8)
     p.add_argument("--max-worlds", type=count, default=4)
     p.add_argument("--max-domain", type=count, default=3)
-    p.add_argument("--json", action="store_true", dest="as_json")
+    for p in sub.choices.values():  # last, where each command's help lists it
+        p.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
 
@@ -124,27 +122,60 @@ def _assign_overrides(spec: str, table: SymbolTable) -> dict[int, int]:
     return overrides
 
 
+def _write(
+    args: argparse.Namespace, code: int, doc: dict[str, Any],
+    text: str | dict[str, Any] | None = None, note: str | None = None,
+) -> int:
+    """Print a command's result and return its exit code: `code`, or
+    `EX_IOERR` when standard output cannot be written.  Under --json that
+    is the document `doc`; otherwise `note` on stderr, then `text` on
+    stdout, as is when a string and as indented JSON (a certificate file)
+    otherwise.  Only the form printed is serialized."""
+    if args.as_json:
+        out = json.dumps(doc)
+    else:
+        if note is not None:
+            print(note, file=sys.stderr)
+        out = text if text is None or isinstance(text, str) else json.dumps(text, indent=2)
+    try:
+        if out is not None:
+            print(out)
+        sys.stdout.flush()  # so that a failed write shows here
+    except OSError as e:
+        # pointing stdout at os.devnull keeps the flush at exit from
+        # raising again; a reader that went away needs no message
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(e, BrokenPipeError):
+            print(f"qrc1: cannot write output: {e.strerror or e}", file=sys.stderr)
+        return EX_IOERR
+    return code
+
+
+def _witness(
+    table: SymbolTable, model: semantics.Model, world: int, g: semantics.Assignment
+) -> tuple[dict[str, Any], str]:
+    """A countermodel's JSON fields (model, world, assignment) and its
+    note (world, assignment)."""
+    overrides = {table.name_of(x): v for x, v in sorted(g.overrides.items())}
+    fields = {"model": semantics.dump_model(model), "world": world,
+              "assignment": {"default": g.default, "overrides": overrides}}
+    return fields, ", ".join([f"world {world}", f"default={g.default}",
+                              *(f"{x}={v}" for x, v in overrides.items())])
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
-    # the whole command builds only acyclic data, freed when it returns
+    # the whole command, its output included, builds only acyclic data,
+    # freed when it returns
     with _gc_paused():
         loaded = calculus.load_proof(_read(args.proof))
         try:
             seq = calculus.check(loaded.derivation, loaded.sig)
         except CheckError as e:
-            if args.as_json:
-                print(json.dumps({
-                    "ok": False,
-                    "rule": e.rule,
-                    "path": list(e.path),
-                    "reason": e.reason,
-                    "detail": e.detail,
-                }))
-            else:
-                print(f"check error: {e}")
-            return 1
+            return _write(args, 1, {"ok": False, "rule": e.rule, "path": list(e.path),
+                                    "reason": e.reason, "detail": e.detail},
+                          f"check error: {e}")
         text = syntax.format_sequent(seq, loaded.table, loaded.sig)
-        print(json.dumps({"ok": True, "sequent": text}) if args.as_json else text)
-        return 0
+        return _write(args, 0, {"ok": True, "sequent": text}, text)
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:
@@ -157,113 +188,64 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     except ValueError as e:
         raise ModelFormatError(str(e)) from e
     value = semantics.sat(raw, args.world, g, phi)
-    print(json.dumps({"value": value}) if args.as_json else str(value).lower())
-    return 0
+    return _write(args, 0, {"value": value}, str(value).lower())
 
 
 def _cmd_adequate(args: argparse.Namespace) -> int:
-    raw = semantics.load_model(_read(args.model))
-    report = semantics.check_adequacy(raw)
-    if args.as_json:
-        print(json.dumps({
-            **{label: good for label, good, _ in report.checks},
-            "witnesses": {label: witness for label, _, witness in report.checks},
-            "adequate": report.ok,
-        }))
-    else:
-        for label, good, witness in report.checks:
-            print(f"{label}: {'ok' if good else f'FAIL witness={witness}'}")
-        print(f"adequate: {'yes' if report.ok else 'no'}")
-    return 0 if report.ok else 1
+    report = semantics.check_adequacy(semantics.load_model(_read(args.model)))
+    lines = [f"{label}: {'ok' if good else f'FAIL witness={witness}'}"
+             for label, good, witness in report.checks]
+    return _write(args, 0 if report.ok else 1, {
+        **{label: good for label, good, _ in report.checks},
+        "witnesses": {label: witness for label, _, witness in report.checks},
+        "adequate": report.ok,
+    }, "\n".join([*lines, f"adequate: {'yes' if report.ok else 'no'}"]))
 
 
-def _witness_json(
-    model: semantics.Model, world: int, g: semantics.Assignment, table: SymbolTable
-) -> dict[str, Any]:
-    return {
-        "model": semantics.dump_model(model),
-        "world": world,
-        "assignment": {
-            "default": g.default,
-            "overrides": {table.name_of(x): v for x, v in sorted(g.overrides.items())},
-        },
-    }
-
-
-def _witness_note(g: semantics.Assignment, table: SymbolTable) -> str:
-    parts = [f"default={g.default}"]
-    parts += [f"{table.name_of(x)}={v}" for x, v in sorted(g.overrides.items())]
-    return ", ".join(parts)
+def _problem(
+    args: argparse.Namespace,
+) -> tuple[SymbolTable, Signature, Sequent, search.SearchBounds]:
+    """The sequent argument of `countermodel` or `decide`, parsed, and
+    the search bounds its options give (`countermodel` has no depth)."""
+    table = SymbolTable()
+    sig, seq = syntax.parse_problem(args.sequent, table)
+    return table, sig, seq, search.SearchBounds(
+        max_worlds=args.max_worlds, max_domain=args.max_domain,
+        max_proof_depth=getattr(args, "max_depth", 8), deadline=args.timeout,
+    )
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
-    table = SymbolTable()
-    sig, seq = syntax.parse_problem(args.sequent, table)
-    bounds = search.SearchBounds(
-        max_worlds=args.max_worlds,
-        max_domain=args.max_domain,
-        deadline=args.timeout,
-    )
+    table, sig, seq, bounds = _problem(args)
     outcome = search.refute(sig, seq, bounds)
     if isinstance(outcome, search.Exhausted):
-        reason = outcome.reason
-        print(json.dumps({"found": False, "reason": reason}) if args.as_json else reason)
-        return 2
-    model, world, g = outcome.model, outcome.world, outcome.assignment
-    if args.as_json:
-        print(json.dumps({"found": True, **_witness_json(model, world, g, table)}))
-    else:
-        print(f"countermodel: world {world}, {_witness_note(g, table)}", file=sys.stderr)
-        print(semantics.dumps_model(model))
-    return 0
+        return _write(args, 2, {"found": False, "reason": outcome.reason}, outcome.reason)
+    fields, where = _witness(table, outcome.model, outcome.world, outcome.assignment)
+    return _write(args, 0, {"found": True, **fields}, fields["model"], f"countermodel: {where}")
 
 
 def _cmd_decide(args: argparse.Namespace) -> int:
-    table = SymbolTable()
-    sig, seq = syntax.parse_problem(args.sequent, table)
-    bounds = search.SearchBounds(
-        max_worlds=args.max_worlds,
-        max_domain=args.max_domain,
-        max_proof_depth=args.max_depth,
-        deadline=args.timeout,
-    )
+    table, sig, seq, bounds = _problem(args)
     outcome = search.decide(seq, sig, bounds)
     if isinstance(outcome, search.Proved):
         proof = calculus.dump_proof(
             outcome.derivation, calculus.used_signature(sig, outcome.derivation), table
         )
-        if args.as_json:
-            print(json.dumps({"outcome": "Proved", "proof": proof["proof"],
-                              "signature": proof["signature"]}))
-        else:
-            print("Proved", file=sys.stderr)
-            print(json.dumps(proof, indent=2))
-        return 0
+        return _write(args, 0, {"outcome": "Proved", "proof": proof["proof"],
+                                "signature": proof["signature"]}, proof, "Proved")
     if isinstance(outcome, search.Refuted):
-        if args.as_json:
-            print(json.dumps({"outcome": "Refuted",
-                              **_witness_json(outcome.model, outcome.world,
-                                              outcome.assignment, table)}))
-        else:
-            print(
-                f"Refuted: world {outcome.world}, "
-                f"{_witness_note(outcome.assignment, table)}",
-                file=sys.stderr,
-            )
-            print(semantics.dumps_model(outcome.model))
-        return 1
-    if args.as_json:
-        print(json.dumps({"outcome": "Exhausted", "reason": outcome.reason}))
-    else:
-        print(f"Exhausted: {outcome.reason}", file=sys.stderr)
-    return 2
+        fields, where = _witness(table, outcome.model, outcome.world, outcome.assignment)
+        return _write(args, 1, {"outcome": "Refuted", **fields}, fields["model"],
+                      f"Refuted: {where}")
+    return _write(args, 2, {"outcome": "Exhausted", "reason": outcome.reason},
+                  note=f"Exhausted: {outcome.reason}")
 
 
 def _cmd_soundness(args: argparse.Namespace) -> int:
     import random
 
     loaded = calculus.load_proof(_read(args.proof))
-    seq = calculus.check(loaded.derivation, loaded.sig)  # raises CheckError via main
+    calculus.check(loaded.derivation, loaded.sig)  # raises CheckError via main
     seed = int(os.environ.get("QRC1_SEED", "0"))
     bounds = generate.GenBounds(max_worlds=args.max_worlds, max_domain=args.max_domain)
     models = islice(generate.generate_models(loaded.sig, bounds, seed), args.models)
@@ -271,18 +253,11 @@ def _cmd_soundness(args: argparse.Namespace) -> int:
         loaded.derivation, models, args.samples, random.Random(seed)
     )
     if hit is None:
-        text = f"no counterexample over {args.models} models (seed {seed})"
-        print(json.dumps({"counterexample": False, "models": args.models,
-                          "seed": seed}) if args.as_json else text)
-        return 0
-    model, world, g = hit
-    if args.as_json:
-        print(json.dumps({"counterexample": True,
-                          **_witness_json(model, world, g, loaded.table)}))
-    else:
-        print("counterexample found (kernel bug):", file=sys.stderr)
-        print(semantics.dumps_model(model))
-    return 1
+        return _write(args, 0, {"counterexample": False, "models": args.models, "seed": seed},
+                      f"no counterexample over {args.models} models (seed {seed})")
+    fields, _ = _witness(loaded.table, *hit)
+    return _write(args, 1, {"counterexample": True, **fields}, fields["model"],
+                  "counterexample found (kernel bug):")
 
 
 _COMMANDS = {
@@ -302,12 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        code = _COMMANDS[args.command](args)
-        sys.stdout.flush()  # so that a closed standard output shows here
-        return code
-    except (ParseError, ProofFormatError, ModelFormatError, json.JSONDecodeError) as e:
-        print(f"qrc1: {e}", file=sys.stderr)
-        return EX_DATA
+        return _COMMANDS[args.command](args)
     except CheckError as e:
         print(f"qrc1: {e}", file=sys.stderr)
         return 1
@@ -317,11 +287,6 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("qrc1: nesting too deep: input exceeds the recursion limit", file=sys.stderr)
         return EX_DATA
-    except BrokenPipeError:
-        # the reader is gone; writing the rest to os.devnull keeps the
-        # flush at exit from raising again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EX_IOERR
     except Exception as e:  # any other escape would exit 1, a verdict
         print(f"qrc1: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_INTERNAL

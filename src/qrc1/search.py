@@ -47,8 +47,11 @@ its world count.  The argument:
   an isomorphism, so v is needed only up to relabelling: one valuation
   per set partition of the names into at most d blocks.
 
-The check yields no certificate; it only lets `decide` and `refute`
-stop enumerating.
+The check yields no certificate, but its verdict settles which half
+of the search can succeed.  A tree that clears the sequent lets
+`decide` and `refute` skip enumeration.  A tree that refutes it is an
+adequate model where the sequent fails, so by soundness no derivation
+exists, and `decide` stops proof search there.
 
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
@@ -57,9 +60,10 @@ variables, and constants for the constant-elimination move from the
 names ``k0``, ``k1``, ... that the signature does not declare.  Whatever
 it returns is re-checked by the kernel.
 
-Each half is a resumable stream, `_proofs` or `_refutations`, that
-returns its certificate or None; `_run` pulls one to its end or to a
-pause, and `decide` takes turns between the two.
+Proof search and the tree check are resumable streams, `_proofs` and
+`_no_countermodel`; `_run` pulls one to its end or to a pause, and
+`decide` takes turns between the two until the tree has its verdict.
+Enumeration, `_refutation`, runs to its first hit.
 """
 
 from __future__ import annotations
@@ -466,26 +470,18 @@ def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> Non
         raise InternalError("refutation witness does not refute the sequent")
 
 
-def _refutation(hit: tuple[RawModel, int, Assignment], seq: Sequent) -> Refuted:
-    """A hit of `_candidates`, validated and re-verified with `sat`."""
+def _refutation(
+    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None
+) -> Refuted | None:
+    """The first hit of `_candidates`, validated and re-verified with
+    `sat`, or None when the bounds hold no countermodel."""
+    hit = next(filter(None, _candidates(sig, seq, bounds, stop_at)), None)
+    if hit is None:
+        return None
     raw, w, g = hit
     model = validate_model(raw)
     _verify_refutation(model, w, g, seq)
     return Refuted(model, w, g)
-
-
-def _refutations(
-    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None
-) -> Generator[None, None, Refuted | None]:
-    """The refutation half as a stream: the antecedent's tree check, then,
-    unless it shows that the bounds hold no countermodel, one step per
-    candidate up to the first hit.  Returns that hit, or None."""
-    if (yield from _no_countermodel(seq, bounds, stop_at)):
-        return None
-    for hit in _candidates(sig, seq, bounds, stop_at):
-        if hit is not None:
-            return _refutation(hit, seq)
-        yield None
 
 
 def _run(steps: Generator[None, None, Any], pause_at: float | None = None) -> Any:
@@ -508,8 +504,10 @@ def refute(
     order, or Exhausted, saying whether the bounds or the deadline ended
     the search.  Enumeration is skipped when the antecedent's tree shows
     that the bounds hold no countermodel."""
+    stop_at = _stop_at(bounds)
     try:
-        found = _run(_refutations(sig, seq, bounds, _stop_at(bounds)))
+        cleared = _run(_no_countermodel(seq, bounds, stop_at))
+        found = None if cleared else _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
         return Exhausted("deadline reached")
     return found or Exhausted("no countermodel within bounds")
@@ -707,28 +705,35 @@ def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
 def decide(
     seq: Sequent, sig: Signature, bounds: SearchBounds = SearchBounds()
 ) -> SearchOutcome:
-    """Take turns between the proof and refutation halves in equal time.
+    """Take turns between proof search and the antecedent's tree check in
+    equal time, then let the tree's verdict choose the half that goes on.
 
-    Each turn runs one proof depth, then the refutation stream (the
-    antecedent's tree check, then candidate models unless the check
-    clears the sequent) for as long as that depth took, at least one
-    step, so neither half waits on the other for more than twice the
-    time it spends itself.  Once the depths are spent, the refutation
-    stream runs to its end.  Both certificates are re-verified.
+    Each turn runs one proof depth, then the tree check for as long as
+    that depth took, at least one step, so neither waits on the other
+    for more than twice the time it spends itself.  A tree that clears
+    the sequent leaves the remaining depths to run alone.  A tree that
+    refutes it is an adequate model where the sequent fails, so by
+    soundness no derivation exists: proof search stops, and enumeration
+    runs alone, since the tree may need more worlds than the bounds
+    allow.  Both certificates are re-verified.
     """
     stop_at = _stop_at(bounds)
     proofs = _proofs(seq, sig, bounds, stop_at)
-    refutations = _refutations(sig, seq, bounds, stop_at)
+    tree = _no_countermodel(seq, bounds, stop_at)
+    cleared = None  # the tree's verdict, once it has one
     try:
         for _ in range(bounds.max_proof_depth):
             started = time.monotonic()
             d = _run(proofs, started)  # pauses after one step: one depth
             if d is not None:
                 return Proved(d)
-            refuted = _run(refutations, 2 * time.monotonic() - started)
-            if refuted is not None:
-                return refuted
-        refuted = _run(refutations)
+            if cleared is None:
+                cleared = _run(tree, 2 * time.monotonic() - started)
+            if cleared is False:
+                break
+        if cleared is None:
+            cleared = _run(tree)
+        refuted = None if cleared else _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
         return Exhausted("deadline reached")
     return refuted or Exhausted(

@@ -718,3 +718,49 @@ def test_a_closed_standard_output_exits_74_quietly(unbuffered):
     finally:
         os.close(write_end)
     assert (out.returncode, out.stderr) == (74, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_failed_write_exits_74_with_one_line(unbuffered):
+    # every write to /dev/full fails with ENOSPC
+    with open("/dev/full", "w") as full:
+        out = _python("-m", "qrc1", "decide", "pred P/1. <> <> P(x) ~> <> P(x)", "--json",
+                      stdout=full, unbuffered=unbuffered)
+    assert (out.returncode, out.stderr) == (
+        74, "qrc1: cannot write output: No space left on device\n"
+    )
+
+
+def test_each_mode_serializes_only_the_form_it_prints(capsys, monkeypatch, trans_proof,
+                                                      one_world):
+    # --json prints one JSON document and builds no indented certificate;
+    # text prints at most one certificate, indented, and no JSON document
+    indents = []
+    real = json.dumps
+
+    def dumps(obj, **kwargs):
+        indents.append(kwargs.get("indent"))
+        return real(obj, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", dumps)
+    certificates = [
+        ["decide", "pred P/1. <> <> P(x) ~> <> P(x)"],
+        ["decide", "T ~> <> T"],
+        ["countermodel", "T ~> <> T"],
+    ]
+    others = [
+        ["decide", "pred P/1. pred Q/1. <> (P(x) & <> Q(x)) ~> <> Q(x)"],
+        ["countermodel", "pred P/1. P(x) ~> P(x)"],
+        ["check", trans_proof],
+        ["adequate", one_world],
+        ["sat", one_world, "--world", "0", "--formula", "T"],
+        ["soundness", trans_proof, "--models", "3"],
+    ]
+    for argv in certificates + others:
+        indents.clear()
+        run(capsys, *argv, "--json")
+        assert indents == [None], argv
+        indents.clear()
+        run(capsys, *argv)
+        assert indents == ([2] if argv in certificates else []), argv

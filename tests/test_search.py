@@ -324,6 +324,19 @@ def test_tree_check_takes_turns_with_proof_search():
     assert took < 0.3
 
 
+def test_decide_stops_proof_search_once_the_tree_refutes():
+    # the tree refutes it, so no proof exists, but its countermodel needs
+    # three worlds: enumeration within two finds none, and no proof depth
+    # runs after the verdict
+    sig, goal = parse_problem("pred P/2. <> <> T ~> A x . P(x, y)")
+    bounds = SearchBounds(max_worlds=2, max_domain=1, max_proof_depth=10**6, deadline=5.0)
+    out, took = _elapsed(decide, goal, sig, bounds)
+    assert out == Exhausted(
+        "no proof within depth 1000000 and no countermodel within 2 world(s) and 1 element(s)"
+    )
+    assert took < 0.5
+
+
 def test_large_bounds_cost_nothing_up_front():
     # reserved constants are drawn as search needs them; building one per
     # depth, 10**6 of them, up front would take seconds and ~60 MB
@@ -589,6 +602,25 @@ def test_tree_verdict_is_monotone_in_the_domain_size():
     # verdict at most between one and two
     assert patterns == {(True, True, True), (True, True, False), (True, False, False),
                         (False, False, False)}
+
+
+def test_tree_check_never_refutes_a_provable_sequent():
+    # a refuting tree is an adequate model where the sequent fails, so by
+    # soundness no derivation exists; decide stops proof search on that
+    battery = [parse_sequent(text, BATTERY_SIG) for text, _ in BATTERY]
+    goals = [goal for goal in battery if proof_search(goal, BATTERY_SIG) is not None]
+    rng = random.Random(8)
+    bounds = SearchBounds(max_proof_depth=4)
+    proved = 0
+    while proved < 200:
+        goal = Sequent(random_formula(rng, BATTERY_SIG, (0, 1), rng.randint(0, 3)),
+                       random_formula(rng, BATTERY_SIG, (0, 1), rng.randint(0, 2)))
+        if proof_search(goal, BATTERY_SIG, bounds) is not None:
+            goals.append(goal)
+            proved += 1
+    for goal in goals:
+        for d in (1, 2, 3):
+            assert _run(_no_countermodel(goal, SearchBounds(max_domain=d), None)), (goal, d)
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
