@@ -118,7 +118,7 @@ from .semantics import (
     Model,
     RawFrame,
     RawModel,
-    _sat,
+    sat as _sat,
     validate_model,
 )
 
@@ -497,20 +497,31 @@ def _run(steps: Generator[None, None, Any], pause_at: float | None = None) -> An
         return done.value
 
 
+def _too_few_worlds(bounds: SearchBounds) -> Exhausted:
+    """The end of a search whose tree refuted the sequent, but whose
+    enumeration found no countermodel within the bounds."""
+    return Exhausted(
+        f"refutable, but every countermodel with at most {bounds.max_domain} "
+        f"element(s) needs more than {bounds.max_worlds} world(s)"
+    )
+
+
 def refute(
     sig: Signature, seq: Sequent, bounds: SearchBounds = SearchBounds()
 ) -> Refuted | Exhausted:
     """The first constant-domain irreflexive countermodel in enumeration
-    order, or Exhausted, saying whether the bounds or the deadline ended
-    the search.  Enumeration is skipped when the antecedent's tree shows
-    that the bounds hold no countermodel."""
+    order, or Exhausted, saying what ended the search: the deadline, a
+    tree showing that no countermodel has at most `bounds.max_domain`
+    elements (then enumeration is skipped), or, when the tree refutes the
+    sequent, a world bound too small for any countermodel."""
     stop_at = _stop_at(bounds)
     try:
-        cleared = _run(_no_countermodel(seq, bounds, stop_at))
-        found = None if cleared else _refutation(sig, seq, bounds, stop_at)
+        if _run(_no_countermodel(seq, bounds, stop_at)):
+            return Exhausted("no countermodel within bounds")
+        found = _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
         return Exhausted("deadline reached")
-    return found or Exhausted("no countermodel within bounds")
+    return found or _too_few_worlds(bounds)
 
 
 def enumerate_countermodels(
@@ -715,7 +726,8 @@ def decide(
     refutes it is an adequate model where the sequent fails, so by
     soundness no derivation exists: proof search stops, and enumeration
     runs alone, since the tree may need more worlds than the bounds
-    allow.  Both certificates are re-verified.
+    allow; if it finds nothing, Exhausted says so.  Both certificates are
+    re-verified.
     """
     stop_at = _stop_at(bounds)
     proofs = _proofs(seq, sig, bounds, stop_at)
@@ -733,10 +745,12 @@ def decide(
                 break
         if cleared is None:
             cleared = _run(tree)
-        refuted = None if cleared else _refutation(sig, seq, bounds, stop_at)
+        if cleared:
+            return Exhausted(
+                f"no proof within depth {bounds.max_proof_depth} and no countermodel "
+                f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
+            )
+        refuted = _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
         return Exhausted("deadline reached")
-    return refuted or Exhausted(
-        f"no proof within depth {bounds.max_proof_depth} and no countermodel "
-        f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
-    )
+    return refuted or _too_few_worlds(bounds)

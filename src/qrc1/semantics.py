@@ -63,10 +63,13 @@ class RawFrame(_Value):
     ``domains[w]`` is the size of world w's domain, whose elements are
     0..size-1.  ``eta[w][u]`` maps each element of w's domain to an
     element of u's domain, and is present for every ordered pair.
-    ``succ[w]``, not a field, lists the worlds related to w in ascending order.
+    ``succ[w]``, not a field, lists the worlds related to w in ascending
+    order, and ``steps[w]`` pairs each such u with ``eta[w][u]``, or with
+    None where that row is the identity, so `sat` passes an assignment
+    through it unchanged.
     """
 
-    __slots__ = ("succ",)
+    __slots__ = ("succ", "steps")
 
     worlds: int
     rel: frozenset[tuple[int, int]]
@@ -95,6 +98,11 @@ class RawFrame(_Value):
         for w, u in sorted(self.rel):
             rows[w].append(u)
         object.__setattr__(self, "succ", tuple(tuple(row) for row in rows))
+        idents = [tuple(range(d)) for d in self.domains]
+        object.__setattr__(self, "steps", tuple(
+            tuple([(u, None if block[u] == ident else block[u]) for u in row])
+            for row, block, ident in zip(rows, self.eta, idents)
+        ))
 
 
 class RawModel(_Value):
@@ -272,19 +280,20 @@ def assignment(
     overrides: Mapping[int, int] | None = None,
 ) -> Assignment:
     """Validated constructor; the domain of ``w`` must be nonempty."""
-    raw = _raw(m)
-    if not 0 <= w < raw.frame.worlds:
+    frame = m.raw.frame if isinstance(m, Model) else m.frame
+    if not 0 <= w < frame.worlds:
         raise ValueError(f"no world {w}")
-    size = raw.frame.domains[w]
-    if size == 0:
-        raise ValueError(f"world {w} has an empty domain, no assignment exists")
+    size = frame.domains[w]
     if not 0 <= default < size:
+        if size == 0:
+            raise ValueError(f"world {w} has an empty domain, no assignment exists")
         raise ValueError("default element outside the domain")
-    overrides = dict(overrides or {})
-    for x, d in overrides.items():
+    env = {}
+    for x, d in (overrides or {}).items():
         if x < 0 or not 0 <= d < size:
             raise ValueError(f"override {x}={d} outside the domain")
-    return Assignment(w, default, overrides)
+        env[x] = d
+    return Assignment(w, default, env)
 
 
 def assign_term(m: Model | RawModel, g: Assignment, t: Term) -> int:
@@ -334,11 +343,7 @@ def sat(m: Model | RawModel, w: int, g: Assignment, phi: Formula) -> bool:
     eta-composed assignment; the universal quantifier enumerates the
     world's (finite) domain.  Adequacy is not required.
     """
-    return _sat(_raw(m), w, g, phi)
-
-
-def _sat(raw: RawModel, w: int, g: Assignment, phi: Formula) -> bool:
-    return _holds(raw, w, g.default, g.overrides, phi)
+    return _holds(m.raw if isinstance(m, Model) else m, w, g.default, g.overrides, phi)
 
 
 _NO_TUPLES: frozenset[tuple[int, ...]] = frozenset()
@@ -350,7 +355,9 @@ def _holds(
     """`sat` with the assignment unpacked into its default and overrides,
     so that no `Assignment` is built per diamond step or quantifier value.
     A diamond pushes both through ``eta[w][u]`` exactly as `eta_compose`
-    does; a quantifier extends the overrides as `with_value` does."""
+    does, or passes them on as they are where that row is the identity
+    (`RawFrame.steps`); a quantifier extends the overrides as
+    `with_value` does."""
     kind = type(phi)
     if kind is Pred:
         ci = raw.const_interp[w]
@@ -364,10 +371,11 @@ def _holds(
         )
     if kind is Diam:
         body = phi.body
-        eta_w = raw.frame.eta[w]
-        for u in raw.frame.succ[w]:
-            row = eta_w[u]
-            if _holds(raw, u, row[default], {x: row[v] for x, v in env.items()}, body):
+        for u, row in raw.frame.steps[w]:
+            if row is None:
+                if _holds(raw, u, default, env, body):
+                    return True
+            elif _holds(raw, u, row[default], {x: row[v] for x, v in env.items()}, body):
                 return True
         return False
     if kind is All:

@@ -51,16 +51,10 @@ _RESERVED = frozenset({"T", "A"})
 _IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _IDENT_RE = re.compile(_IDENT)
 
-_TOKEN_RE = re.compile(
-    rf"""(?P<ws>\s+)
-      | (?P<diam><>)
-      | (?P<arrow>~>)
-      | (?P<ident>{_IDENT})
-      | (?P<num>[0-9]+)
-      | (?P<punct>[()&,./])
-    """,
-    re.VERBOSE,
-)
+# one token: the diamond, the arrow, an identifier, a number, or a
+# punctuation mark; splitting a text on it leaves what lies between the
+# tokens, which must be white space
+_TOKEN_RE = re.compile(rf"(<>|~>|{_IDENT}|[0-9]+|[()&,./])")
 
 
 class ParseError(ValueError):
@@ -108,65 +102,84 @@ class SymbolTable:
         return name
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    toks: list[tuple[str, str, int]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        if kind != "ws":
-            value = m.group()
-            toks.append((value if kind == "punct" else kind, value, pos))
-        pos = m.end()
-    toks.append(("end", "", len(text)))
-    return toks
+_END = ""  # the token after the last one
+_OPEN = "("  # on the parser's stack: an open parenthesis
+
+
+def _unexpected(parts: list[str]) -> ParseError:
+    """The error at the first character that is neither white space nor
+    part of a token, given the split of a text on `_TOKEN_RE`."""
+    k = next(k for k in range(0, len(parts), 2) if parts[k].strip())
+    rest = parts[k].lstrip()
+    pos = sum(map(len, parts[:k])) + len(parts[k]) - len(rest)
+    return ParseError(f"unexpected character {rest[0]!r}", pos)
 
 
 class _Parser:
+    """A parse in progress: the tokens of `text` and the index `i` of the
+    next one, read in the signature `sig`, interning variable names in
+    `table`.  Formulas are read on an explicit stack (see `formula`), so
+    nesting depth costs no Python frames.  Error offsets are found only
+    when an error is raised, by scanning the text again."""
+
+    __slots__ = ("text", "toks", "i", "sig", "table")
+
     def __init__(self, text: str, sig: Signature | None, table: SymbolTable):
+        parts = _TOKEN_RE.split(text)  # between, token, between, ..., between
+        if "".join(parts[::2]).strip():
+            raise _unexpected(parts)
+        self.text = text
+        self.toks = parts[1::2]
+        self.toks.append(_END)
+        self.i = 0
         self.sig = sig
         self.table = table
-        self.toks = _tokenize(text)
-        self.i = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.toks[self.i]
+    def error(self, message: str, at: int) -> ParseError:
+        """A `ParseError` at the offset of token `at`."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)]
+        return ParseError(message, starts[at] if at < len(starts) else len(self.text))
 
-    def advance(self) -> tuple[str, str, int]:
-        tok = self.toks[self.i]
+    def expect(self, tok: str, what: str) -> None:
+        if self.toks[self.i] != tok:
+            raise self.error(f"expected {what}", self.i)
         self.i += 1
-        return tok
-
-    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
-        tok = self.advance()
-        if tok[0] != kind:
-            raise ParseError(f"expected {what or kind}", tok[2])
-        return tok
 
     def expect_end(self) -> None:
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError("unexpected trailing input", tok[2])
+        if self.toks[self.i] != _END:
+            raise self.error("unexpected trailing input", self.i)
+
+    def name(self, what: str) -> str:
+        """The next token, which must be an identifier other than a
+        reserved word."""
+        name = self.toks[self.i]
+        if not name.isidentifier():
+            raise self.error(f"expected {what}", self.i)
+        if name in _RESERVED:
+            raise self.error(f"{name!r} is a reserved word", self.i)
+        self.i += 1
+        return name
 
     # -- declarations ------------------------------------------------
 
     def declarations(self) -> Signature:
         constants: set[str] = set()
         predicates: dict[str, int] = {}
-        while self.peek()[0] == "ident" and self.peek()[1] in ("const", "pred"):
-            _, keyword, _ = self.advance()
-            _, name, pos = self.expect("ident", "a name")
-            if name in _RESERVED:
-                raise ParseError(f"{name!r} is a reserved word", pos)
+        toks = self.toks
+        while toks[self.i] in ("const", "pred"):
+            keyword = toks[self.i]
+            self.i += 1
+            name = self.name("a name")
             if name in constants or name in predicates:
-                raise ParseError(f"duplicate declaration of {name!r}", pos)
+                raise self.error(f"duplicate declaration of {name!r}", self.i - 1)
             if keyword == "const":
                 constants.add(name)
             else:
                 self.expect("/", "'/'")
-                _, digits, _ = self.expect("num", "an arity")
+                digits = toks[self.i]
+                if not digits.isdigit():
+                    raise self.error("expected an arity", self.i)
+                self.i += 1
                 predicates[name] = int(digits)
             self.expect(".", "'.'")
         return Signature(frozenset(constants), predicates)
@@ -175,65 +188,89 @@ class _Parser:
 
     def sequent(self) -> Sequent:
         ante = self.formula()
-        self.expect("arrow", "'~>'")
+        self.expect("~>", "'~>'")
         return Sequent(ante, self.formula())
 
     def formula(self) -> Formula:
-        left = self.unary()
-        while self.peek()[0] == "&":
-            self.advance()
-            left = And(left, self.unary())
-        return left
+        """Precedence climbing on one stack of the connectives still open
+        to the left of the next token: None for ``<>``, a variable number
+        for ``A x .``, `_OPEN` for ``(``, and a formula for the left side
+        of ``&``.  The unary connectives bind tighter than ``&``, which is
+        left-associative, so at most one left side waits above each open
+        parenthesis (or the bottom of the stack)."""
+        toks = self.toks
+        stack: list[Any] = []
+        while True:
+            tok = toks[self.i]
+            self.i += 1
+            if tok == "<>":
+                stack.append(None)
+                continue
+            if tok == "A":
+                name = self.name("a variable name")
+                self.expect(".", "'.'")
+                stack.append(self.table.intern(name))
+                continue
+            if tok == _OPEN:
+                stack.append(_OPEN)
+                continue
+            if tok == "T":
+                phi: Formula = TOP
+            elif tok.isidentifier():
+                phi = self.predicate(tok)
+            else:
+                raise self.error("expected a formula", self.i - 1)
+            # phi is an atom: close what it completes
+            while True:
+                while stack:
+                    top = stack[-1]
+                    if top is None:
+                        phi = Diam(phi)
+                    elif type(top) is int:
+                        phi = All(top, phi)
+                    else:
+                        break
+                    stack.pop()
+                if stack and stack[-1] is not _OPEN:
+                    phi = And(stack.pop(), phi)
+                tok = toks[self.i]
+                if tok == "&":
+                    stack.append(phi)
+                    self.i += 1
+                    break
+                if not stack:
+                    return phi
+                if tok != ")":
+                    raise self.error("expected ')'", self.i)
+                stack.pop()
+                self.i += 1
 
-    def unary(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "diam":
-            self.advance()
-            return Diam(self.unary())
-        if kind == "ident" and value == "A":
-            self.advance()
-            _, name, npos = self.expect("ident", "a variable name")
-            if name in _RESERVED:
-                raise ParseError(f"{name!r} is a reserved word", npos)
-            self.expect(".", "'.'")
-            return All(self.table.intern(name), self.unary())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.advance()
-        if kind == "(":
-            inner = self.formula()
-            self.expect(")", "')'")
-            return inner
-        if kind != "ident":
-            raise ParseError("expected a formula", pos)
-        if value == "T":
-            return TOP
-        args: list[Term] | None = None
-        if self.peek()[0] == "(":
-            self.advance()
-            args = []
-            if self.peek()[0] != ")":
+    def predicate(self, name: str) -> Pred:
+        """The atom of the predicate `name`, the token just read, after
+        its arguments, if any."""
+        at = self.i - 1
+        toks = self.toks
+        args: list[Term] = []
+        if toks[self.i] == "(":
+            self.i += 1
+            if toks[self.i] != ")":
                 args.append(self.term())
-                while self.peek()[0] == ",":
-                    self.advance()
+                while toks[self.i] == ",":
+                    self.i += 1
                     args.append(self.term())
             self.expect(")", "')'")
         assert self.sig is not None
-        arity = self.sig.predicates.get(value)
+        arity = self.sig.predicates.get(name)
         if arity is None:
-            raise ParseError(f"undeclared predicate {value!r}", pos)
-        got = len(args) if args is not None else 0
-        if arity != got:
-            raise ParseError(
-                f"predicate {value!r} expects {arity} argument(s), got {got}", pos
+            raise self.error(f"undeclared predicate {name!r}", at)
+        if arity != len(args):
+            raise self.error(
+                f"predicate {name!r} expects {arity} argument(s), got {len(args)}", at
             )
-        return Pred(value, tuple(args or ()))
+        return Pred(name, tuple(args))
 
     def term(self) -> Term:
-        _, name, pos = self.expect("ident", "a term")
-        if name in _RESERVED:
-            raise ParseError(f"{name!r} is a reserved word", pos)
+        name = self.name("a term")
         assert self.sig is not None
         if name in self.sig.constants:
             return Const(name)

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from itertools import chain, product
 from typing import Any, Iterable, Iterator
 
 import hypothesis.strategies as st
+from hypothesis import settings
 
 from qrc1 import (
     All,
@@ -52,8 +54,13 @@ from qrc1.language import (
     well_formed,
     well_formed_term,
 )
-from qrc1.syntax import SymbolTable
+from qrc1.syntax import _IDENT, _RESERVED, ParseError, SymbolTable
 from qrc1.search import SearchBounds, _sat
+
+# `pytest --hypothesis-profile=ci` (as CI runs the suite): ten times the
+# examples for every property test that keeps the default count, and a
+# reproduction blob printed with any failure
+settings.register_profile("ci", max_examples=1000, print_blob=True)
 
 SIG = signature(["c", "d"], {"P": 1, "S": 2, "R": 0})
 
@@ -557,6 +564,172 @@ class _Loader:
             return Derivation(rule, formulas, var, term, const, premises)
         except ValueError as e:
             raise ProofFormatError(f"{_where(at)}: {e}") from e
+
+
+# -- parser oracle -----------------------------------------------------------
+#
+# The recursive-descent parser that `syntax._Parser` replaced, kept as it
+# was: a tokenizer that matches one token at a time, and one method per
+# grammar rule.
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    rf"""(?P<ws>\s+)
+      | (?P<diam><>)
+      | (?P<arrow>~>)
+      | (?P<ident>{_IDENT})
+      | (?P<num>[0-9]+)
+      | (?P<punct>[()&,./])
+    """,
+    re.VERBOSE,
+)
+
+
+def _reference_tokenize(text: str) -> list[tuple[str, str, int]]:
+    toks: list[tuple[str, str, int]] = []
+    pos = 0
+    while pos < len(text):
+        m = _REFERENCE_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        if kind != "ws":
+            value = m.group()
+            toks.append((value if kind == "punct" else kind, value, pos))
+        pos = m.end()
+    toks.append(("end", "", len(text)))
+    return toks
+
+
+class ReferenceParser:
+    """Oracle for `syntax._Parser`: the recursive-descent parser it
+    replaced, one Python frame per level of nesting."""
+
+    def __init__(self, text: str, sig: Signature | None, table: SymbolTable):
+        self.sig = sig
+        self.table = table
+        self.toks = _reference_tokenize(text)
+        self.i = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.toks[self.i]
+
+    def advance(self) -> tuple[str, str, int]:
+        tok = self.toks[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str | None = None) -> tuple[str, str, int]:
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError(f"expected {what or kind}", tok[2])
+        return tok
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError("unexpected trailing input", tok[2])
+
+    # -- declarations ------------------------------------------------
+
+    def declarations(self) -> Signature:
+        constants: set[str] = set()
+        predicates: dict[str, int] = {}
+        while self.peek()[0] == "ident" and self.peek()[1] in ("const", "pred"):
+            _, keyword, _ = self.advance()
+            _, name, pos = self.expect("ident", "a name")
+            if name in _RESERVED:
+                raise ParseError(f"{name!r} is a reserved word", pos)
+            if name in constants or name in predicates:
+                raise ParseError(f"duplicate declaration of {name!r}", pos)
+            if keyword == "const":
+                constants.add(name)
+            else:
+                self.expect("/", "'/'")
+                _, digits, _ = self.expect("num", "an arity")
+                predicates[name] = int(digits)
+            self.expect(".", "'.'")
+        return Signature(frozenset(constants), predicates)
+
+    # -- formulas ----------------------------------------------------
+
+    def sequent(self) -> Sequent:
+        ante = self.formula()
+        self.expect("arrow", "'~>'")
+        return Sequent(ante, self.formula())
+
+    def formula(self) -> Formula:
+        left = self.unary()
+        while self.peek()[0] == "&":
+            self.advance()
+            left = And(left, self.unary())
+        return left
+
+    def unary(self) -> Formula:
+        kind, value, pos = self.peek()
+        if kind == "diam":
+            self.advance()
+            return Diam(self.unary())
+        if kind == "ident" and value == "A":
+            self.advance()
+            _, name, npos = self.expect("ident", "a variable name")
+            if name in _RESERVED:
+                raise ParseError(f"{name!r} is a reserved word", npos)
+            self.expect(".", "'.'")
+            return All(self.table.intern(name), self.unary())
+        return self.atom()
+
+    def atom(self) -> Formula:
+        kind, value, pos = self.advance()
+        if kind == "(":
+            inner = self.formula()
+            self.expect(")", "')'")
+            return inner
+        if kind != "ident":
+            raise ParseError("expected a formula", pos)
+        if value == "T":
+            return TOP
+        args: list[Term] | None = None
+        if self.peek()[0] == "(":
+            self.advance()
+            args = []
+            if self.peek()[0] != ")":
+                args.append(self.term())
+                while self.peek()[0] == ",":
+                    self.advance()
+                    args.append(self.term())
+            self.expect(")", "')'")
+        assert self.sig is not None
+        arity = self.sig.predicates.get(value)
+        if arity is None:
+            raise ParseError(f"undeclared predicate {value!r}", pos)
+        got = len(args) if args is not None else 0
+        if arity != got:
+            raise ParseError(
+                f"predicate {value!r} expects {arity} argument(s), got {got}", pos
+            )
+        return Pred(value, tuple(args or ()))
+
+    def term(self) -> Term:
+        _, name, pos = self.expect("ident", "a term")
+        if name in _RESERVED:
+            raise ParseError(f"{name!r} is a reserved word", pos)
+        assert self.sig is not None
+        if name in self.sig.constants:
+            return Const(name)
+        return Var(self.table.intern(name))
+
+
+def parse_reference(what: str, text: str, sig: Signature | None, table: SymbolTable):
+    """`parse_formula`, `parse_sequent`, `parse_term` or `parse_problem`
+    (`what` is "formula", "sequent", "term" or "problem") by the oracle."""
+    p = ReferenceParser(text, sig, table)
+    if what == "problem":
+        p.sig = p.declarations()
+        what = "sequent"
+    out = getattr(p, what)()
+    p.expect_end()
+    return (p.sig, out) if sig is None else out
 
 
 # -- helpers only the tests use ----------------------------------------

@@ -299,6 +299,20 @@ def test_countermodel_says_what_ended_the_search(capsys):
     assert json.loads(out) == {"found": False, "reason": "no countermodel within bounds"}
 
 
+def test_a_world_bound_too_small_for_a_refutable_sequent_is_named(capsys):
+    # the antecedent's tree refutes it, but every countermodel needs three worlds
+    problem = "pred P/2. <> <> T ~> A x . P(x, y)"
+    bounds = ("--max-worlds", "2", "--max-domain", "1")
+    reason = "refutable, but every countermodel with at most 1 element(s) needs more than 2 world(s)"
+    assert run(capsys, "countermodel", problem, *bounds) == (2, f"{reason}\n", "")
+    code, out, _ = run(capsys, "countermodel", problem, *bounds, "--json")
+    assert (code, json.loads(out)) == (2, {"found": False, "reason": reason})
+    assert run(capsys, "decide", problem, *bounds, "--max-depth", "1000") == (
+        2, "", f"Exhausted: {reason}\n")
+    code, out, _ = run(capsys, "decide", problem, *bounds, "--max-depth", "1000", "--json")
+    assert (code, json.loads(out)) == (2, {"outcome": "Exhausted", "reason": reason})
+
+
 # -- soundness -------------------------------------------------------------
 
 

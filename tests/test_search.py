@@ -327,14 +327,16 @@ def test_tree_check_takes_turns_with_proof_search():
 def test_decide_stops_proof_search_once_the_tree_refutes():
     # the tree refutes it, so no proof exists, but its countermodel needs
     # three worlds: enumeration within two finds none, and no proof depth
-    # runs after the verdict
+    # runs after the verdict; both searches name the world bound as the cause
     sig, goal = parse_problem("pred P/2. <> <> T ~> A x . P(x, y)")
     bounds = SearchBounds(max_worlds=2, max_domain=1, max_proof_depth=10**6, deadline=5.0)
     out, took = _elapsed(decide, goal, sig, bounds)
-    assert out == Exhausted(
-        "no proof within depth 1000000 and no countermodel within 2 world(s) and 1 element(s)"
+    beyond = Exhausted(
+        "refutable, but every countermodel with at most 1 element(s) needs more than 2 world(s)"
     )
+    assert out == beyond
     assert took < 0.5
+    assert refute(sig, goal, bounds) == beyond
 
 
 def test_large_bounds_cost_nothing_up_front():
@@ -491,7 +493,10 @@ def test_decide_returns_what_its_two_halves_return():
             assert dict(out.assignment.overrides) == dict(hit[2].overrides), goal
         else:
             assert proof is None and hit is None, goal
-            assert refute(sig, goal, bounds) == Exhausted("no countermodel within bounds")
+            # a tree that refutes makes both name the world bound as the cause
+            too_few_worlds = out.reason.startswith("refutable")
+            assert refute(sig, goal, bounds) == (
+                out if too_few_worlds else Exhausted("no countermodel within bounds")), goal
     assert seen == {Proved, Refuted, Exhausted}
 
 

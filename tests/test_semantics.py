@@ -477,6 +477,54 @@ def test_sat_agrees_with_reference_on_inadequate_models():
         _assert_agrees_with_reference(raw, formulas)
 
 
+def _identity_rows_model():
+    """Adequate, with domains 2, 3, 2, 3 and edges 0 -> 1 -> 3, 0 -> 2 -> 3
+    and 0 -> 3.  eta is the identity along 0 -> 1 (into a larger domain),
+    1 -> 3 and 0 -> 3, and swaps along 0 -> 2 and 2 -> 3, so both paths
+    to world 3 compose to the identity."""
+    ident2, ident3 = (0, 1), (0, 1, 2)
+    eta = (
+        (ident2, ident2, (1, 0), ident2),
+        ((0, 0, 1), ident3, (1, 1, 0), ident3),
+        ((1, 0), (2, 0), ident2, (1, 0)),
+        ((0, 0, 0), ident3, (0, 1, 1), ident3),
+    )
+    frame = RawFrame(4, frozenset({(0, 1), (1, 3), (0, 3), (0, 2), (2, 3)}), (2, 3, 2, 3), eta)
+    consts = ({"c": 0}, {"c": 0}, {"c": 1}, {"c": 0})
+    preds = (
+        {"P": frozenset({(1,)}), "S": frozenset({(0, 1)})},
+        {"P": frozenset({(2,)}), "S": frozenset({(1, 0), (2, 2)})},
+        {"P": frozenset({(1,)}), "S": frozenset({(1, 0)})},
+        {"P": frozenset({(2,), (0,)}), "S": frozenset({(0, 2), (2, 1)})},
+    )
+    return RawModel(SSIG, frame, consts, preds)
+
+
+def test_identity_rows_pass_the_assignment_through():
+    raw = _identity_rows_model()
+    assert check_adequacy(raw).ok
+    assert raw.frame.steps == (
+        ((1, None), (2, (1, 0)), (3, None)), ((3, None),), ((3, (1, 0)),), (),
+    )
+    rng = random.Random(6)
+    s = Pred("S", (Var(X), Var(Y)))
+    formulas = _formula_pool() + [
+        Diam(Diam(P(Var(X)))), Diam(s), Diam(Diam(s)), All(X, Diam(s)), Diam(All(Y, s)),
+        Diam(And(P(Var(Y)), Diam(Pred("S", (Var(Y), Const("c")))))),
+    ] + [random_formula(rng, SSIG, (X, Y), 3) for _ in range(40)]
+    _assert_agrees_with_reference(raw, formulas)
+    # the test has teeth: reading a swap as the identity changes an answer
+    wrong = _identity_rows_model()
+    object.__setattr__(
+        wrong.frame, "steps", (((1, None), (2, None), (3, None)), *raw.frame.steps[1:]))
+    assert any(
+        sat(wrong, w, g, phi) != sat_reference(raw, w, g, phi)
+        for phi in formulas
+        for w in range(raw.frame.worlds)
+        for g in _assignments_over_xy(w, raw.frame.domains[w])
+    )
+
+
 # -- assignment-irrelevance lemmas (randomized smoke; acceptance runs more) --
 
 

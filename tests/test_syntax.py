@@ -1,3 +1,4 @@
+import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
@@ -17,10 +18,11 @@ from qrc1 import (
     parse_formula,
     parse_problem,
     parse_sequent,
+    parse_term,
     signature,
 )
 
-from conftest import SIG, formulas, parse_signature
+from conftest import BATTERY, SIG, formulas, parse_reference, parse_signature
 
 
 def test_parse_top():
@@ -165,3 +167,129 @@ def test_sequent_round_trip(ante, cons):
     seq = Sequent(ante, cons)
     text = format_sequent(seq, table, SIG)
     assert parse_sequent(text, SIG, table) == seq
+
+
+# -- agreement with the recursive parser -------------------------------
+
+PROBLEMS = [f"const c. pred P/1. pred Q/1. pred S/2. {text}" for text, _ in BATTERY] + [
+    "const c. pred P/1. pred Q/1. <> <> P(x) ~> <> P(x)",
+    "const c. pred P/1. pred Q/1. A x . P(x) ~> P(c)",
+    "const c. pred P/1. pred Q/1. <> P(x) ~> <> <> P(x)",
+    "const c. pred P/1. pred Q/1. P(x) & Q(x) ~> Q(x) & P(x)",
+    "pred S/2. A x . <> A y . S(x,y) ~> <> A y . A x . S(x,y)",
+    "const c. pred P/1. const c. pred P/12. A c . P(c) ~> T",  # declares c and P twice
+]
+
+# over SIG
+FORMULAS = [
+    "T",
+    "R",
+    "R()",
+    "P(x)",
+    "S(c, y)",
+    "((P(d)))",
+    "<>(T)&(<>T)",
+    "A x.A y.S(x,y)&P(x)",
+    "<> A x . P(x) & R",
+    "A x . <> A y . <> (P(x) & S(y, c))",
+    "(<> T & (A y . S(y, d))) & <> <> R & P(x)",
+    "A x . (P(x) & <> (S(x, x) & A x . R))",
+    "A x .\n\t<> P(x)\r\n",
+]
+
+_INSERTED = " <>~&().,/ATxcPS0\n$é"
+
+
+def _outcome(parse):
+    """What a parse gives: the result and the table's names in order,
+    or the error."""
+    table = SymbolTable()
+    try:
+        out = parse(table)
+    except ParseError as e:
+        return "ParseError", e.message, e.pos
+    except ValueError as e:
+        return type(e), str(e)
+    return out, list(table._ids.items())
+
+
+def _assert_parsers_agree(text, what="formula"):
+    """`what` is "formula", "sequent" or "term" over SIG, or "problem"."""
+    def ours(table):
+        if what == "problem":
+            return parse_problem(text, table)
+        parse = {"formula": parse_formula, "sequent": parse_sequent, "term": parse_term}[what]
+        return parse(text, SIG, table)
+
+    def reference(table):
+        return parse_reference(what, text, None if what == "problem" else SIG, table)
+
+    assert _outcome(ours) == _outcome(reference), (what, text)
+
+
+def _edits(text):
+    """Every deletion of one character and every insertion of one from
+    `_INSERTED`."""
+    for i in range(len(text)):
+        yield text[:i] + text[i + 1:]
+    for i in range(len(text) + 1):
+        for ch in _INSERTED:
+            yield text[:i] + ch + text[i:]
+
+
+def test_parser_agrees_with_the_recursive_parser_on_the_corpus_and_every_one_character_edit():
+    for text in PROBLEMS:
+        for edited in [text, *_edits(text)]:
+            _assert_parsers_agree(edited, "problem")
+    for text in FORMULAS:
+        _assert_parsers_agree(f"{text} ~> {text}", "sequent")
+        for edited in [text, *_edits(text)]:
+            _assert_parsers_agree(edited, "formula")
+    for text in ["x", "c", " d ", "T", "x y", "", "(x)", "x0_"]:
+        _assert_parsers_agree(text, "term")
+
+
+@given(formulas, formulas)
+def test_parser_agrees_with_the_recursive_parser_on_printed_formulas(ante, cons):
+    text = format_sequent(Sequent(ante, cons), SymbolTable(), SIG)
+    _assert_parsers_agree(text, "sequent")
+    _assert_parsers_agree(f"const c. const d. pred P/1. pred S/2. pred R/0. {text}", "problem")
+
+
+@given(st.text(alphabet="<>~&().,/ \t\nATxycdPSR01é", max_size=30))
+def test_parser_agrees_with_the_recursive_parser_on_any_text(text):
+    for what in ("formula", "sequent", "term"):
+        _assert_parsers_agree(text, what)
+    _assert_parsers_agree(f"pred P/1. const c. {text}", "problem")
+    _assert_parsers_agree(text, "problem")
+
+
+DEEP = 10**5
+
+
+def _unary_depth(phi):
+    depth = 0
+    while isinstance(phi, (Diam, All)):
+        phi, depth = phi.body, depth + 1
+    return depth, phi
+
+
+@pytest.mark.parametrize("opening, closing, depth", [
+    ("<> ", "", DEEP), ("A x . ", "", DEEP), ("(", ")", 0), ("<> (", ")", DEEP),
+])
+def test_deep_nesting_parses_without_recursion(opening, closing, depth):
+    table = SymbolTable()
+    phi = parse_formula(opening * DEEP + "P(x)" + closing * DEEP, SIG, table)
+    assert _unary_depth(phi) == (depth, Pred("P", (Var(table.intern("x")),)))
+
+
+def test_deep_conjunction_and_unclosed_parentheses():
+    phi = parse_formula("R & " * DEEP + "T", SIG)
+    for _ in range(DEEP):
+        assert phi.right in (TOP, Pred("R", ()))
+        phi = phi.left
+    assert phi == Pred("R", ())
+    text = "<> (" * DEEP + "T"
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, SIG)
+    assert (e.value.message, e.value.pos) == ("expected ')'", len(text))
