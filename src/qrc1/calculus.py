@@ -12,9 +12,15 @@ rule, parameter objects and premise objects) load as one `Derivation`.
 The kernel concludes each distinct node once, in the post-order of its
 first occurrence, and reports a failure at the path of that occurrence,
 so the verdict and the error are those of the tree written out in full.
-Loading and checking both run on explicit stacks, so neither depends on
-the recursion limit, and both run with the cyclic garbage collector
-paused (`_gc_paused`), since the data they build has no cycles.
+
+`check_proof`, behind `qrc1 check`, builds no `Derivation` at all: the
+loader hands each node, in post-order, to `_conclude` as it reads it,
+and equal nodes (the same rule, parameter objects and premise sequents)
+are concluded once.  Its verdict, error path and format errors are
+those of `load_proof` followed by `check`.  Loading and checking run on
+explicit stacks, so neither depends on the recursion limit, and with
+the cyclic garbage collector paused (`_gc_paused`), since the data they
+build has no cycles.
 
 The six derived-rule builders at the bottom construct trees out of the
 ten primitive rules only; they never extend the trusted kernel.
@@ -22,6 +28,7 @@ ten primitive rules only; they never extend the trusted kernel.
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
 
@@ -52,6 +59,7 @@ from .syntax import SymbolTable
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable, Sequence
     from typing import Any
 
 # premise count, formula-parameter names, and extra parameters per rule tag
@@ -269,7 +277,8 @@ def _check(d: Derivation, sig: Signature | None) -> Sequent:
             todo += (node, None, *node.premises[::-1])
             continue
         try:
-            done[id(node)] = _conclude(node, [done[id(p)] for p in node.premises], sig, formed)
+            done[id(node)] = _conclude(sig, formed, node.rule, node.formulas, node.var,
+                                       node.term, node.const, [done[id(p)] for p in node.premises])
         except CheckError as e:
             raise CheckError(_path(todo, node), e.rule, e.reason, e.detail) from None
     return done[id(d)]
@@ -288,35 +297,37 @@ def _path(todo: list[Derivation | None], node: Derivation) -> tuple[int, ...]:
 
 
 def _conclude(
-    d: Derivation, prem: list[Sequent], sig: Signature | None, formed: set[int]
+    sig: Signature | None, formed: set[int], rule: str, formulas: tuple[Formula, ...],
+    var: int | None, term: Term | None, const: str | None, prem: Sequence[Sequent],
 ) -> Sequent:
-    """The sequent `d` proves from its premises' sequents `prem`; a
-    `CheckError` raised here has an empty path, which `_check` fills in."""
-    rule = d.rule
+    """The sequent that a node with these fields proves from its premises'
+    sequents `prem`.  With a signature, each parameter formula must be
+    well-formed in it, unless `formed` already holds its id.  A
+    `CheckError` raised here has an empty path, which the caller fills in."""
     if sig is not None:
-        for f in d.formulas:
+        for f in formulas:
             if id(f) in formed:
                 continue
             if not well_formed(f, sig):
                 raise CheckError((), rule, ILL_FORMED, "parameter formula not well-formed")
             formed.add(id(f))
-        if d.term is not None and not well_formed_term(d.term, sig):
+        if term is not None and not well_formed_term(term, sig):
             raise CheckError((), rule, ILL_FORMED, "parameter term not well-formed")
-        if d.const is not None and d.const not in sig.constants:
-            raise CheckError((), rule, ILL_FORMED, f"undeclared constant {d.const!r}")
+        if const is not None and const not in sig.constants:
+            raise CheckError((), rule, ILL_FORMED, f"undeclared constant {const!r}")
 
     if rule == "Top":
-        return Sequent(d.formulas[0], TOP)
+        return Sequent(formulas[0], TOP)
     if rule == "Refl":
-        return Sequent(d.formulas[0], d.formulas[0])
+        return Sequent(formulas[0], formulas[0])
     if rule == "AndEl":
-        phi, psi = d.formulas
+        phi, psi = formulas
         return Sequent(And(phi, psi), phi)
     if rule == "AndEr":
-        phi, psi = d.formulas
+        phi, psi = formulas
         return Sequent(And(phi, psi), psi)
     if rule == "Trans":
-        phi = d.formulas[0]
+        phi = formulas[0]
         return Sequent(Diam(Diam(phi)), Diam(phi))
     if rule == "AndI":
         if prem[0].ante != prem[1].ante:
@@ -329,39 +340,39 @@ def _conclude(
     if rule == "Nec":
         return Sequent(Diam(prem[0].ante), Diam(prem[0].cons))
     if rule == "AllIr":
-        if d.var in fv(prem[0].ante):
+        if var in fv(prem[0].ante):
             raise CheckError((), rule, VAR_NOT_FRESH, "quantified variable free in the antecedent")
-        return Sequent(prem[0].ante, All(d.var, prem[0].cons))
+        return Sequent(prem[0].ante, All(var, prem[0].cons))
     if rule == "AllIl":
-        phi = d.formulas[0]
-        assert d.var is not None and d.term is not None
-        if not freefor(phi, d.var, d.term):
+        phi = formulas[0]
+        assert var is not None and term is not None
+        if not freefor(phi, var, term):
             raise CheckError((), rule, NOT_FREE_FOR, "term not free for the variable")
-        if prem[0].ante != sub(phi, d.var, d.term):
+        if prem[0].ante != sub(phi, var, term):
             raise CheckError((), rule, PREMISE_MISMATCH, "premise antecedent is not the instance")
-        return Sequent(All(d.var, phi), prem[0].cons)
+        return Sequent(All(var, phi), prem[0].cons)
     if rule == "TermI":
-        assert d.var is not None and d.term is not None
-        if not freefor(prem[0].ante, d.var, d.term):
+        assert var is not None and term is not None
+        if not freefor(prem[0].ante, var, term):
             raise CheckError(
                 (), rule, NOT_FREE_FOR, "term not free for the variable in the antecedent"
             )
-        if not freefor(prem[0].cons, d.var, d.term):
+        if not freefor(prem[0].cons, var, term):
             raise CheckError(
                 (), rule, NOT_FREE_FOR, "term not free for the variable in the consequent"
             )
         return Sequent(
-            sub(prem[0].ante, d.var, d.term), sub(prem[0].cons, d.var, d.term)
+            sub(prem[0].ante, var, term), sub(prem[0].cons, var, term)
         )
     # ConstE
-    phi, psi = d.formulas
-    assert d.var is not None and d.const is not None
-    if occurs_const(d.const, phi):
+    phi, psi = formulas
+    assert var is not None and const is not None
+    if occurs_const(const, phi):
         raise CheckError((), rule, CONST_OCCURS, "constant occurs in the antecedent")
-    if occurs_const(d.const, psi):
+    if occurs_const(const, psi):
         raise CheckError((), rule, CONST_OCCURS, "constant occurs in the consequent")
-    c = Const(d.const)
-    if prem[0] != Sequent(sub(phi, d.var, c), sub(psi, d.var, c)):
+    c = Const(const)
+    if prem[0] != Sequent(sub(phi, var, c), sub(psi, var, c)):
         raise CheckError((), rule, PREMISE_MISMATCH, "premise is not the constant instance")
     return Sequent(phi, psi)
 
@@ -502,17 +513,38 @@ def load_proof(data: str | dict[str, Any]) -> LoadedProof:
     shared `Derivation`.
     """
     with _gc_paused():
-        if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as e:
-                raise ProofFormatError(f"invalid JSON: {e}") from e
-        if not isinstance(data, dict):
-            raise ProofFormatError("proof file must be a JSON object")
-        sig = syntax.signature_from_json(data.get("signature"), ProofFormatError)
+        data, sig = syntax.document_from_json(data, "proof", ProofFormatError)
         table = SymbolTable()
-        d = _Loader(sig, table).load(data.get("proof"))
+        d = _Loader(sig, table).load(data.get("proof"), Derivation)
         return LoadedProof(sig, d, table)
+
+
+class CheckedProof(_Value):
+    """A proof file as `check_proof` read it: the proved `sequent`, or the
+    kernel's `error`, and the JSON `nodes` read and the deepest nesting,
+    `depth` (a lone root node has depth 1)."""
+
+    sig: Signature
+    table: SymbolTable
+    sequent: Sequent | None
+    error: CheckError | None
+    nodes: int
+    depth: int
+
+
+def check_proof(data: str | dict[str, Any]) -> CheckedProof:
+    """Load and check a proof file in one pass, concluding each node as it
+    is read, with no `Derivation` built.  The verdict, the `CheckError`
+    and the format errors are those of `load_proof` then `check`: a
+    `ProofFormatError` anywhere in the file is raised even after the
+    kernel has failed, so the file is read to its end, and a `CheckError`
+    is returned, not raised."""
+    with _gc_paused():
+        data, sig = syntax.document_from_json(data, "proof", ProofFormatError)
+        table = SymbolTable()
+        loader = _Loader(sig, table)
+        seq = loader.load(data.get("proof"), functools.partial(_conclude, sig, set()))
+        return CheckedProof(sig, table, seq, loader.failure, loader.nodes, loader.depth)
 
 
 # on `_Loader.load`'s stack: the premises of the innermost open node are built
@@ -523,8 +555,9 @@ class _Loader:
     """One proof file's nodes, read in pre-order on an explicit stack: a
     node's own parameters are read before its premises, and its premise
     count is checked after them.  Each distinct formula, term or variable
-    text is parsed once, and nodes with the same rule, parameters and
-    premises share one `Derivation`."""
+    text is parsed once.  Each node is built once its premises are, and
+    nodes with the same rule, parameters and built premises are built once
+    (see `load`)."""
 
     def __init__(self, sig: Signature, table: SymbolTable):
         self.sig = sig
@@ -532,18 +565,29 @@ class _Loader:
         self.formulas: dict[str, Formula] = {}
         self.terms: dict[str, Term] = {}
         self.variables: dict[str, int] = {}
-        # keyed by the ids of parameters and premises; each value keeps them alive
-        self.shared: dict[tuple[Any, ...], Derivation] = {}
-        # loaded nodes not yet taken by their parent
-        self.built: list[Derivation] = []
+        # keyed by the ids of parameters and built premises; each value keeps
+        # its premises alive, and `formulas` and `terms` keep the parameters
+        self.shared: dict[tuple[Any, ...], Any] = {}
+        # built nodes not yet taken by their parent
+        self.built: list[Any] = []
         # nodes whose premises are loading: the node's own fields, then the
         # length of `built` when it was reached, its "base"; a node's index
         # among its parent's premises is its base minus the parent's
         self.open: list[tuple[Any, ...]] = []
+        # the first `CheckError` a builder raised, with its node's path
+        self.failure: CheckError | None = None
+        self.nodes = self.depth = 0
 
-    def load(self, root: Any) -> Derivation:
+    def load(self, root: Any, build: Callable[..., Any]) -> Any:
+        """What `build(rule, formulas, var, term, const, premises)` returns
+        for the tree at `root`, called in post-order with the premises as
+        built.  Once `build` has raised a `CheckError`, kept in `failure`
+        with the node's path, no node is built: each stands as None, so
+        only format errors are still found."""
         todo = [root]
         built, open_, shared = self.built, self.open, self.shared
+        failure = None
+        nodes = depth = 0
         while todo:
             obj = todo.pop()
             if obj is _PREMISES_BUILT:
@@ -552,28 +596,42 @@ class _Loader:
                 del built[base:]
             else:
                 rule, formulas, var, term, const, raw_premises = self.node(obj)
+                nodes += 1
                 base = len(built)
                 if raw_premises:
                     open_.append((rule, formulas, var, term, const, base))
                     todo.append(_PREMISES_BUILT)
                     todo += reversed(raw_premises)
                     continue
+                if len(open_) >= depth:  # the deepest node is a leaf
+                    depth = len(open_) + 1
                 premises = ()
             key = (rule, var, id(term), const, *map(id, formulas + premises))
-            d = shared.get(key)
-            if d is None:
-                try:
-                    d = shared[key] = Derivation(rule, formulas, var, term, const, premises)
-                except ValueError as e:
-                    raise ProofFormatError(f"{self.where(base)}: {e}") from e
-            built.append(d)
+            out = shared.get(key)
+            if out is None:
+                n_prem = _RULES[rule][0]
+                if len(premises) != n_prem:
+                    raise ProofFormatError(f"{self.where(base)}: {rule} takes {n_prem} "
+                                           f"premise(s), got {len(premises)}")
+                if failure is None:
+                    try:
+                        out = shared[key] = build(rule, formulas, var, term, const, premises)
+                    except CheckError as e:
+                        failure = CheckError(self.path(base), e.rule, e.reason, e.detail)
+            built.append(out)
+        self.failure, self.nodes, self.depth = failure, nodes, depth
         return built[0]
+
+    def path(self, base: int) -> tuple[int, ...]:
+        """The premise indices from the root to the node with base `base`,
+        below the open nodes."""
+        bases = [entry[-1] for entry in self.open]
+        bases.append(base)
+        return tuple(b - a for a, b in zip(bases, bases[1:]))
 
     def where(self, base: int) -> str:
         """The JSON path of the node with base `base`, below the open nodes."""
-        bases = [entry[-1] for entry in self.open]
-        bases.append(base)
-        return "proof" + "".join(f".premises[{b - a}]" for a, b in zip(bases, bases[1:]))
+        return "proof" + "".join(f".premises[{i}]" for i in self.path(base))
 
     def fail(self, message: str) -> ProofFormatError:
         """An error at the node being read."""

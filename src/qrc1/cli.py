@@ -167,15 +167,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     # the whole command, its output included, builds only acyclic data,
     # freed when it returns
     with _gc_paused():
-        loaded = calculus.load_proof(_read(args.proof))
-        try:
-            seq = calculus.check(loaded.derivation, loaded.sig)
-        except CheckError as e:
+        checked = calculus.check_proof(_read(args.proof))
+        read = {"nodes": checked.nodes, "depth": checked.depth}
+        e = checked.error
+        if e is not None:
             return _write(args, 1, {"ok": False, "rule": e.rule, "path": list(e.path),
-                                    "reason": e.reason, "detail": e.detail},
+                                    "reason": e.reason, "detail": e.detail, **read},
                           f"check error: {e}")
-        text = syntax.format_sequent(seq, loaded.table, loaded.sig)
-        return _write(args, 0, {"ok": True, "sequent": text}, text)
+        text = syntax.format_sequent(checked.sequent, checked.table, checked.sig)
+        return _write(args, 0, {"ok": True, "sequent": text, **read}, text)
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:

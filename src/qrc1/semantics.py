@@ -34,7 +34,7 @@ from .language import (
     _Value,
     fresh,
 )
-from .syntax import signature_from_json, signature_to_json
+from .syntax import document_from_json, signature_to_json
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -506,14 +506,7 @@ def _objects(value: Any, what: str) -> list[dict[str, Any]]:
 def load_model(data: str | dict[str, Any]) -> RawModel:
     """Parse the JSON model-file structure; the inverse of `dump_model`.
     Counts, elements and tuples are JSON integers, never other numbers."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as e:
-            raise ModelFormatError(f"invalid JSON: {e}") from e
-    if not isinstance(data, dict):
-        raise ModelFormatError("model file must be a JSON object")
-    sig = signature_from_json(data.get("signature"), ModelFormatError)
+    data, sig = document_from_json(data, "model", ModelFormatError)
     worlds = _ints(data.get("worlds"), 0, "worlds")
     rel = _ints(data.get("rel"), 2, "rel")
     if any(len(edge) != 2 for edge in rel):

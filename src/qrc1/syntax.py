@@ -25,6 +25,7 @@ original spelling, so parse and print round-trip.
 
 from __future__ import annotations
 
+import json
 import re
 
 from .language import (
@@ -179,8 +180,11 @@ class _Parser:
                 digits = toks[self.i]
                 if not digits.isdigit():
                     raise self.error("expected an arity", self.i)
+                try:
+                    predicates[name] = int(digits)
+                except ValueError:  # past CPython's limit on digits converted
+                    raise self.error("arity too large", self.i) from None
                 self.i += 1
-                predicates[name] = int(digits)
             self.expect(".", "'.'")
         return Signature(frozenset(constants), predicates)
 
@@ -317,7 +321,25 @@ def parse_problem(text: str, table: SymbolTable | None = None) -> tuple[Signatur
     return p.sig, seq
 
 
-# -- signature blocks of model and proof files -----------------------
+# -- model and proof files: the JSON object and its signature block ----
+
+
+def document_from_json(
+    data: str | dict[str, Any], kind: str, error: type[ValueError]
+) -> tuple[dict[str, Any], Signature]:
+    """A model or proof file's JSON object, decoded when given as text, and
+    its signature block, read by `signature_from_json`.  Anything malformed
+    raises `error`."""
+    if isinstance(data, str):
+        try:
+            data = json.loads(data)
+        except json.JSONDecodeError as e:
+            raise error(f"invalid JSON: {e}") from e
+        except ValueError:  # an integer past CPython's limit on digits converted
+            raise error("invalid JSON: integer too large") from None
+    if not isinstance(data, dict):
+        raise error(f"{kind} file must be a JSON object")
+    return data, signature_from_json(data.get("signature"), error)
 
 
 def signature_to_json(sig: Signature) -> dict[str, Any]:

@@ -92,6 +92,57 @@ def test_missing_file_is_a_data_error(capsys):
     assert code == 65
 
 
+def _leaf(rule, **params):
+    return {"rule": rule, "params": params, "premises": []}
+
+
+@pytest.mark.parametrize("proof, code, doc, text", [
+    ({"rule": "Cut", "params": {}, "premises": [
+        {"rule": "AndI", "params": {}, "premises": [
+            _leaf("Refl", phi="P(c)"), _leaf("Top", phi="P(c)")]},
+        _leaf("AndEr", phi="P(c)", psi="T")]},
+     0, {"ok": True, "sequent": "P(c) ~> T", "nodes": 5, "depth": 3}, "P(c) ~> T\n"),
+    # the file is read to its end after the kernel has failed
+    ({"rule": "AndI", "params": {}, "premises": [
+        {"rule": "AllIr", "params": {"x": "x"}, "premises": [_leaf("Refl", phi="P(x)")]},
+        {"rule": "Nec", "params": {}, "premises": [
+            {"rule": "Nec", "params": {}, "premises": [_leaf("Refl", phi="T")]}]}]},
+     1, {"ok": False, "rule": "AllIr", "path": [0], "reason": "var-not-fresh",
+         "detail": "quantified variable free in the antecedent", "nodes": 6, "depth": 4},
+     "check error: var-not-fresh in AllIr at node 0: "
+     "quantified variable free in the antecedent\n"),
+])
+def test_check_json_reports_the_nodes_read_and_their_depth(capsys, tmp_path, proof, code,
+                                                           doc, text):
+    path = tmp_path / "proof.qpf"
+    path.write_text(json.dumps({"signature": {"constants": ["c"], "predicates": {"P": 1}},
+                                "proof": proof}))
+    assert run(capsys, "check", str(path), "--json") == (code, json.dumps(doc) + "\n", "")
+    assert run(capsys, "check", str(path)) == (code, text, "")
+
+
+NINES = "9" * 5000  # past CPython's limit of 4300 digits for `int(text)`
+
+
+def test_integers_too_long_to_convert_are_data_errors(capsys, tmp_path):
+    with pytest.raises(qrc1.ParseError) as e:
+        qrc1.parse_problem(f"pred P/{NINES}. T ~> T")
+    assert (e.value.message, e.value.pos) == ("arity too large", 7)
+    assert run(capsys, "decide", f"pred P/{NINES}. T ~> T") == (
+        65, "", "qrc1: arity too large (at offset 7)\n")
+    text = '{"signature": {"constants": [], "predicates": {"P": %s}}}' % NINES
+    for load, error in ((qrc1.load_proof, qrc1.ProofFormatError),
+                        (qrc1.check_proof, qrc1.ProofFormatError),
+                        (qrc1.load_model, qrc1.ModelFormatError)):
+        with pytest.raises(error, match="^invalid JSON: integer too large$"):
+            load(text)
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    for command in ("check", "adequate"):
+        assert run(capsys, command, str(path)) == (
+            65, "", "qrc1: invalid JSON: integer too large\n")
+
+
 # -- sat ---------------------------------------------------------------
 
 

@@ -1,6 +1,7 @@
-"""The explicit-stack loader and kernel: agreement with the recursive
-references they replaced, sharing of repeated subproofs, depth, and the
-pause of the cyclic garbage collector."""
+"""The explicit-stack loader and kernel, and `check_proof`, which runs the
+kernel as the loader reads: agreement with the recursive references they
+replaced, sharing of repeated subproofs, depth, and the pause of the
+cyclic garbage collector."""
 
 import copy
 import gc
@@ -23,6 +24,7 @@ from qrc1 import (
     ax_top,
     calculus,
     check,
+    check_proof,
     conclusion,
     cut,
     dump_proof,
@@ -78,38 +80,65 @@ def _nodes(doc):
         stack.extend(node["premises"])
 
 
-def _corruptions(doc):
-    """Every copy of `doc` with one node changed in one of four ways."""
+def _edits(doc):
+    """(node index, key, value) for each of four ways to change one node."""
     for i, node in enumerate(_nodes(doc)):
-        edits = [("rule", "Bogus")]
+        yield i, "rule", "Bogus"
         if "phi" in node["params"]:
-            edits.append(("phi", node["params"]["phi"] + " & T"))
+            yield i, "phi", node["params"]["phi"] + " & T"
         for key in ("phi", "psi", "t"):
             if key in node["params"]:
-                edits.append((key, 7))
+                yield i, key, 7
                 break
         if node["premises"]:
-            edits.append(("premises", node["premises"][:-1]))
-        for key, value in edits:
-            bad = copy.deepcopy(doc)
-            target = next(n for j, n in enumerate(_nodes(bad)) if j == i)
-            if key in ("rule", "premises"):
-                target[key] = value
-            else:
-                target["params"][key] = value
-            yield bad
+            yield i, "premises", node["premises"][:-1]
 
 
-def _outcome(load, check_fn, doc):
+def _corrupted(doc, edits):
+    """A copy of `doc` with `edits` made, each to the node it names in `doc`
+    (an edit inside premises that another edit drops is lost)."""
+    bad = copy.deepcopy(doc)
+    nodes = list(_nodes(bad))
+    for i, key, value in edits:
+        if key in ("rule", "premises"):
+            nodes[i][key] = value
+        else:
+            nodes[i]["params"][key] = value
+    return bad
+
+
+def _corruptions(doc):
+    """Every copy of `doc` with one node changed in one of four ways."""
+    for edit in _edits(doc):
+        yield _corrupted(doc, [edit])
+
+
+def _outcome(doc):
+    """What `load_proof` then `check` make of `doc`, after asserting that the
+    recursive references and the one-pass `check_proof` make the same."""
+    outcomes = []
+    for load, check_fn in ((load_proof, check), (load_reference, check_reference)):
+        try:
+            loaded = load(doc)
+        except ProofFormatError as e:
+            outcomes.append(("format", str(e)))
+            continue
+        try:
+            seq = check_fn(loaded.derivation, loaded.sig)
+        except CheckError as e:
+            outcomes.append(("check", e.path, e.rule, e.reason, e.detail))
+            continue
+        outcomes.append(("ok", format_sequent(seq, loaded.table, loaded.sig)))
     try:
-        loaded = load(doc)
+        checked = check_proof(doc)
     except ProofFormatError as e:
-        return "format", str(e)
-    try:
-        seq = check_fn(loaded.derivation, loaded.sig)
-    except CheckError as e:
-        return "check", e.path, e.rule, e.reason, e.detail
-    return "ok", format_sequent(seq, loaded.table, loaded.sig)
+        outcomes.append(("format", str(e)))
+    else:
+        e = checked.error
+        outcomes.append(("ok", format_sequent(checked.sequent, checked.table, checked.sig))
+                        if e is None else ("check", e.path, e.rule, e.reason, e.detail))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    return outcomes[0]
 
 
 @pytest.fixture(scope="module")
@@ -121,10 +150,63 @@ def test_loader_and_kernel_agree_with_the_references(documents):
     outcomes = set()
     for doc in documents:
         for case in (doc, *_corruptions(doc)):
-            new = _outcome(load_proof, check, case)
-            assert new == _outcome(load_reference, check_reference, case)
-            outcomes.add(new[0])
+            outcomes.add(_outcome(case)[0])
     assert outcomes == {"format", "check", "ok"}
+
+
+def test_two_faults_agree_with_the_references(documents):
+    """Two nodes changed: whichever error comes first, a format error
+    anywhere wins over a kernel error, and of two kernel errors the first
+    in post-order is the one reported."""
+    rng = random.Random(3)
+    outcomes = set()
+    for doc in documents:
+        edits = list(_edits(doc))
+        for _ in range(6):
+            first, second = rng.sample(edits, 2)
+            if first[0] != second[0]:
+                outcomes.add(_outcome(_corrupted(doc, [first, second]))[0])
+    assert outcomes == {"format", "check", "ok"}
+
+
+def _refl(phi):
+    return {"rule": "Refl", "params": {"phi": phi}, "premises": []}
+
+
+# a subproof that loads, and that the kernel rejects at its root
+NOT_FRESH = {"rule": "AllIr", "params": {"x": "x"}, "premises": [_refl("P(x)")]}
+
+
+def _file(proof):
+    return {"signature": {"constants": ["c"], "predicates": {"P": 1}}, "proof": proof}
+
+
+@pytest.mark.parametrize("later", [
+    ({"rule": "Bogus"}, "proof.premises[1]: unknown rule tag 'Bogus'"),
+    ({"rule": "Nec", "params": {}, "premises": []},
+     "proof.premises[1]: Nec takes 1 premise(s), got 0"),
+    ({"rule": "Nec", "params": {}, "premises": [_refl("P(")]},
+     "proof.premises[1].premises[0]: expected a term (at offset 2)"),
+])
+def test_a_format_error_after_a_kernel_fault_wins(later):
+    node, message = later
+    doc = _file({"rule": "Cut", "params": {}, "premises": [NOT_FRESH, node]})
+    assert _outcome(doc) == ("format", message)
+
+
+def test_of_two_kernel_faults_the_first_in_post_order_is_reported():
+    # the left premise fails at its own root, after its premises, which
+    # check; the right one fails deeper, but later in post-order
+    mismatch = {"rule": "AndI", "params": {}, "premises": [_refl("P(c)"), _refl("T")]}
+    doc = _file({"rule": "AndI", "params": {}, "premises": [
+        mismatch, {"rule": "Nec", "params": {}, "premises": [NOT_FRESH]}]})
+    assert _outcome(doc) == ("check", (0,), "AndI", "premise-mismatch",
+                             "premises have different antecedents")
+    # a node that fails and has a failing premise: the premise comes first
+    doc = _file({"rule": "AndI", "params": {}, "premises": [
+        {"rule": "Nec", "params": {}, "premises": [NOT_FRESH]}, _refl("P(c)")]})
+    assert _outcome(doc) == ("check", (0, 0), "AllIr", "var-not-fresh",
+                             "quantified variable free in the antecedent")
 
 
 def test_conclusion_agrees_with_the_reference(documents):
@@ -150,10 +232,14 @@ def test_a_repeated_failing_subproof_fails_at_its_first_occurrence():
         with pytest.raises(CheckError) as e:
             check(tree, SIG)
         assert (e.value.path, e.value.rule) == ((0, 1), "AndI")
+    error = check_proof(dump_proof(d, SIG)).error
+    assert (error.path, error.rule) == ((0, 1), "AndI")
     # the same subproof, failing under both premises of its parent
+    doc = dump_proof(nec(and_intro(bad, bad)), SIG)
     with pytest.raises(CheckError) as e:
-        check(load_proof(dump_proof(nec(and_intro(bad, bad)), SIG)).derivation, SIG)
+        check(load_proof(doc).derivation, SIG)
     assert e.value.path == (0, 0)
+    assert check_proof(doc).error.path == (0, 0)
 
 
 def test_a_shared_node_is_concluded_once(monkeypatch):
@@ -177,6 +263,13 @@ def test_a_shared_node_is_concluded_once(monkeypatch):
         assert cons.left is cons.right
         cons = cons.left
     assert cons == TOP
+    # written out in full, 2**11 - 1 nodes, read and concluded in one pass
+    d = ax_refl(TOP)
+    for _ in range(10):
+        d = and_intro(d, d)
+    calls = 0
+    checked = check_proof(dump_proof(d, SIG))
+    assert (calls, checked.nodes, checked.depth) == (11, 2**11 - 1, 11)
 
 
 def _diamonds(phi):
@@ -207,8 +300,12 @@ def test_a_deep_chain_loads_from_a_dict_without_recursion():
     node = {"rule": "Refl", "params": {"phi": "T"}, "premises": []}
     for _ in range(DEEP):
         node = {"rule": "Nec", "params": {}, "premises": [node]}
-    loaded = load_proof({"signature": {"constants": [], "predicates": {}}, "proof": node})
+    doc = {"signature": {"constants": [], "predicates": {}}, "proof": node}
+    loaded = load_proof(doc)
     _assert_deep_conclusion(check(loaded.derivation, loaded.sig))
+    checked = check_proof(doc)
+    _assert_deep_conclusion(checked.sequent)
+    assert checked.nodes == checked.depth == DEEP + 1
 
 
 def test_the_collector_state_is_restored():
@@ -218,6 +315,9 @@ def test_the_collector_state_is_restored():
         (lambda: check(good, SIG), None),
         (lambda: conclusion(good), None),
         (lambda: load_proof(dump_proof(good, SIG)), None),
+        (lambda: check_proof(dump_proof(good, SIG)), None),
+        (lambda: check_proof(dump_proof(bad, SIG)), None),
+        (lambda: check_proof("{"), ProofFormatError),
         (lambda: check(bad, SIG), CheckError),
         (lambda: conclusion(bad), CheckError),
         (lambda: load_proof("{"), ProofFormatError),
