@@ -106,8 +106,10 @@ def _read(path: str) -> str:
         raise ModelFormatError(f"cannot read {path}: {e.strerror}") from e
 
 
-def _assign_overrides(spec: str, table: SymbolTable) -> dict[int, int]:
-    overrides: dict[int, int] = {}
+def _assign_overrides(spec: str, sig: Signature) -> dict[str, int]:
+    """The --assign entries, ``name=value``, by variable name: a name the
+    formula parser would read as a variable, so not a declared constant."""
+    overrides: dict[str, int] = {}
     if not spec.strip():
         return overrides
     for part in spec.split(","):
@@ -115,8 +117,12 @@ def _assign_overrides(spec: str, table: SymbolTable) -> dict[int, int]:
         name = name.strip()
         if not eq or not name:
             raise ParseError(f"bad assignment entry {part!r}", 0)
+        if not syntax.is_name(name):
+            raise ValueError(f"cannot assign {name!r}: not a variable name")
+        if name in sig.constants:
+            raise ValueError(f"cannot assign {name}: it is a declared constant, not a variable")
         try:
-            overrides[table.intern(name)] = int(value.strip())
+            overrides[name] = int(value.strip())
         except ValueError:
             raise ParseError(f"bad assignment value in {part!r}", 0) from None
     return overrides
@@ -182,11 +188,15 @@ def _cmd_sat(args: argparse.Namespace) -> int:
     raw = semantics.load_model(_read(args.model))
     table = SymbolTable()
     phi = syntax.parse_formula(args.formula, raw.sig, table)
-    overrides = _assign_overrides(args.assign, table)
+    named = _assign_overrides(args.assign, raw.sig)
     try:
-        g = semantics.assignment(raw, args.world, args.default_elem, overrides)
+        g = semantics.assignment(raw, args.world, args.default_elem)
     except ValueError as e:
         raise ModelFormatError(str(e)) from e
+    for name, d in named.items():
+        if not 0 <= d < raw.frame.domains[g.world]:
+            raise ModelFormatError(f"override {name}={d} outside the domain")
+    g = semantics.Assignment(g.world, g.default, {table.intern(x): d for x, d in named.items()})
     value = semantics.sat(raw, args.world, g, phi)
     return _write(args, 0, {"value": value}, str(value).lower())
 

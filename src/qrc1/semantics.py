@@ -33,6 +33,7 @@ from .language import (
     Var,
     _Value,
     fresh,
+    fv,
 )
 from .syntax import document_from_json, signature_to_json
 
@@ -341,29 +342,35 @@ def sat(m: Model | RawModel, w: int, g: Assignment, phi: Formula) -> bool:
     is in the world's interpretation; conjunction is truth of both parts;
     a diamond asks for a related world where the body holds under the
     eta-composed assignment; the universal quantifier enumerates the
-    world's (finite) domain.  Adequacy is not required.
+    world's (finite) domain.  Adequacy is not required.  The caller's
+    assignment is left as it was, also when `sat` raises.
     """
-    return _holds(m.raw if isinstance(m, Model) else m, w, g.default, g.overrides, phi)
+    raw = m.raw if isinstance(m, Model) else m
+    return _holds(raw, w, g.default, dict(g.overrides), phi)
 
 
 _NO_TUPLES: frozenset[tuple[int, ...]] = frozenset()
 
 
-def _holds(
-    raw: RawModel, w: int, default: int, env: Mapping[int, int], phi: Formula
-) -> bool:
+def _holds(raw: RawModel, w: int, default: int, env: dict[int, int], phi: Formula) -> bool:
     """`sat` with the assignment unpacked into its default and overrides,
     so that no `Assignment` is built per diamond step or quantifier value.
+
     A diamond pushes both through ``eta[w][u]`` exactly as `eta_compose`
-    does, or passes them on as they are where that row is the identity
-    (`RawFrame.steps`); a quantifier extends the overrides as
-    `with_value` does."""
+    does, into a new dict, or passes them on as they are where that row
+    is the identity (`RawFrame.steps`).  A quantifier binds its variable
+    in ``env`` itself, one element at a time, and restores the old
+    binding, or its absence, before it returns, so ``env`` must be
+    private to one `sat` call.  By the coincidence lemma truth reads only
+    the free variables, so a quantifier whose variable is not free in its
+    body evaluates the body once: every world reached from a world with
+    a nonempty domain has a nonempty domain too (each eta row maps into
+    it), and an empty domain makes the quantifier true."""
     kind = type(phi)
     if kind is Pred:
-        ci = raw.const_interp[w]
-        tup = tuple([
-            env.get(a.id, default) if type(a) is Var else ci[a.name] for a in phi.args
-        ])
+        tup = ()
+        for a in phi.args:
+            tup += (env.get(a.id, default) if type(a) is Var else raw.const_interp[w][a.name],)
         return tup in raw.pred_interp[w].get(phi.name, _NO_TUPLES)
     if kind is And:
         return _holds(raw, w, default, env, phi.left) and _holds(
@@ -380,10 +387,21 @@ def _holds(
         return False
     if kind is All:
         x, body = phi.var, phi.body
-        for d in range(raw.frame.domains[w]):
-            if not _holds(raw, w, default, {**env, x: d}, body):
-                return False
-        return True
+        size = raw.frame.domains[w]
+        if x not in fv(body):
+            return not size or _holds(raw, w, default, env, body)
+        old = env.get(x)
+        try:
+            for d in range(size):
+                env[x] = d
+                if not _holds(raw, w, default, env, body):
+                    return False
+            return True
+        finally:
+            if old is None:
+                env.pop(x, None)
+            else:
+                env[x] = old
     return True  # Top
 
 

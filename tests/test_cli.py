@@ -181,6 +181,25 @@ def test_sat_rejects_unparsable_formula(capsys, one_world):
     assert code == 65
 
 
+def test_sat_assign_takes_variables_only_and_names_them_in_errors(capsys, tmp_path):
+    # c is declared, so --assign c=1 would otherwise leave c at its
+    # interpretation and set an unused variable named c
+    model = single_world_model(SIG, size=2, preds={"P": frozenset({(0,), (1,)})})
+    path = tmp_path / "m.qkm"
+    path.write_text(dumps_model(model))
+    sat = ("sat", str(path), "--world", "0", "--formula", "P(c) & P(x)")
+    assert run(capsys, *sat, "--assign", "x=1,c=1") == (
+        65, "", "qrc1: cannot assign c: it is a declared constant, not a variable\n")
+    assert run(capsys, *sat, "--assign", "y=0,x=9") == (
+        65, "", "qrc1: override x=9 outside the domain\n")
+    assert run(capsys, *sat, "--assign", "x=-1") == (
+        65, "", "qrc1: override x=-1 outside the domain\n")
+    for name in ("A", "1x", "x y"):  # a reserved word, no identifier
+        assert run(capsys, *sat, "--assign", f"{name}=0") == (
+            65, "", f"qrc1: cannot assign {name!r}: not a variable name\n")
+    assert run(capsys, *sat, "--assign", "x=1,y=0") == (0, "true\n", "")
+
+
 # -- adequate ----------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from types import MappingProxyType
 
 import pytest
 
@@ -437,9 +438,11 @@ def test_sat_agrees_with_reference_on_generated_models():
     assert varying and nontrivial
 
 
-def test_sat_agrees_with_reference_on_inadequate_models():
+def _inadequate_models():
+    """Raw models over SSIG that fail adequacy: varying domains and
+    non-identity eta rows, a broken composition, a swapping eta[0][0]."""
     swap, ident2 = (1, 0), (0, 1)
-    models = [
+    frames = [
         # 0R1R2 without 0R2, varying domains, non-identity eta along edges
         RawFrame(
             3, frozenset({(0, 1), (1, 2)}), (2, 3, 2),
@@ -456,9 +459,7 @@ def test_sat_agrees_with_reference_on_inadequate_models():
             ((swap, ident2), (swap, (1, 1))),
         ),
     ]
-    rng = random.Random(4)
-    pool = _formula_pool() + [All(X, Diam(Pred("S", (Var(X), Var(Y)))))]
-    for frame in models:
+    for frame in frames:
         n = frame.worlds
         consts = tuple({"c": w % frame.domains[w]} for w in range(n))
         preds = tuple(
@@ -473,6 +474,13 @@ def test_sat_agrees_with_reference_on_inadequate_models():
         )
         raw = RawModel(SSIG, frame, consts, preds)
         assert not check_adequacy(raw).ok
+        yield raw
+
+
+def test_sat_agrees_with_reference_on_inadequate_models():
+    rng = random.Random(4)
+    pool = _formula_pool() + [All(X, Diam(Pred("S", (Var(X), Var(Y)))))]
+    for raw in _inadequate_models():
         formulas = pool + [random_formula(rng, SSIG, (X, Y), 3) for _ in range(20)]
         _assert_agrees_with_reference(raw, formulas)
 
@@ -523,6 +531,120 @@ def test_identity_rows_pass_the_assignment_through():
         for w in range(raw.frame.worlds)
         for g in _assignments_over_xy(w, raw.frame.domains[w])
     )
+
+
+# -- quantifiers: bound in place, vacuous ones evaluated once ----------------
+
+
+Z = 2
+
+
+def _quantifier_pool():
+    """Vacuous, shadowed and nested quantifiers over x, y and z, and
+    variables read again after a quantifier over them returned."""
+    x, y, z, c = Var(X), Var(Y), Var(Z), Const("c")
+
+    def s(a, b):
+        return Pred("S", (a, b))
+
+    return [
+        All(X, All(Y, P(c))),  # two vacuous quantifiers
+        All(Y, Diam(All(Y, Diam(P(y))))),  # vacuous over a shadowing one
+        All(X, All(X, And(P(y), P(x)))),  # shadowed
+        All(Z, s(x, y)),  # vacuous over free variables
+        All(X, Diam(All(Y, s(x, y)))),
+        All(X, All(Y, All(Z, And(s(x, z), s(z, y))))),
+        And(All(X, P(x)), P(x)),
+        And(All(Z, s(z, x)), s(z, z)),
+        Diam(And(All(Y, s(x, y)), P(y))),
+        All(X, Diam(And(All(X, s(x, y)), P(x)))),
+        All(Z, Diam(All(X, And(Diam(s(x, z)), P(z))))),
+        All(X, All(Y, Diam(Diam(P(c))))),
+    ]
+
+
+def _assert_agrees_on_three_variables(raw, formulas):
+    """`sat` against the reference on every world and every assignment
+    of x, y and z (each overridden by every element, or left to the
+    default), and the caller's overrides as they were after each call."""
+    for phi in formulas:
+        for w in range(raw.frame.worlds):
+            size = raw.frame.domains[w]
+            for default, *values in product(range(size), *[(None, *range(size))] * 3):
+                g = Assignment(w, default, {
+                    v: d for v, d in zip((X, Y, Z), values) if d is not None})
+                before = list(g.overrides.items())
+                assert sat(raw, w, g, phi) == sat_reference(raw, w, g, phi), (raw, w, g, phi)
+                assert list(g.overrides.items()) == before
+
+
+def test_sat_agrees_with_reference_on_every_assignment_of_three_variables():
+    rng = random.Random(9)
+    models = generate_models(SSIG, GenBounds(3, 3), seed=19)
+    varying = False
+    for _ in range(12):
+        raw = next(models).raw
+        varying |= len(set(raw.frame.domains)) > 1
+        formulas = _quantifier_pool() + [
+            random_formula(rng, SSIG, (X, Y, Z), 3) for _ in range(6)]
+        _assert_agrees_on_three_variables(raw, formulas)
+    assert varying
+    for raw in [*_inadequate_models(), _identity_rows_model()]:
+        formulas = _quantifier_pool() + [
+            random_formula(rng, SSIG, (X, Y, Z), 3) for _ in range(6)]
+        _assert_agrees_on_three_variables(raw, formulas)
+
+
+def test_sat_leaves_the_assignment_unchanged_when_it_raises():
+    # k is not declared: the atom raises after x is bound, in place,
+    # beyond an identity row
+    raw = _identity_rows_model()
+    k = Pred("S", (Var(X), Const("k")))
+    g = Assignment(0, 1, {X: 0, Z: 1})
+    for phi in (All(X, And(k, P(Var(X)))), Diam(All(Y, All(X, And(TOP, k))))):
+        with pytest.raises((KeyError, ValueError)):
+            sat(raw, 0, g, phi)
+        assert list(g.overrides.items()) == [(X, 0), (Z, 1)]
+    # overrides may be any mapping, a read-only one too
+    frozen = Assignment(0, 1, MappingProxyType({X: 0}))
+    phi = And(All(X, Diam(P(Var(X)))), P(Var(X)))
+    assert sat(raw, 0, frozen, phi) == sat_reference(raw, 0, frozen, phi)
+
+
+def test_a_vacuous_quantifier_evaluates_its_body_once(monkeypatch):
+    from qrc1 import semantics
+
+    raw = single_world_model(PSIG, size=3, preds={"P": frozenset({(0,), (1,), (2,)})})
+    atoms = 0
+    holds = semantics._holds
+
+    def counting(raw, w, default, env, phi):
+        nonlocal atoms
+        atoms += type(phi) is Pred
+        return holds(raw, w, default, env, phi)
+
+    monkeypatch.setattr(semantics, "_holds", counting)
+    g = Assignment(0, 0, {Y: 1})
+    for phi, evaluated in (
+        (All(X, All(X, P(Var(X)))), 3),  # the outer x is not free: its body once
+        (All(X, All(Y, P(Var(Y)))), 3),
+        (All(X, All(Y, All(X, P(Const("c"))))), 1),
+        (All(X, P(Var(X))), 3),
+    ):
+        atoms = 0
+        assert sat(raw, 0, g, phi) and sat_reference(raw, 0, g, phi)
+        assert atoms == evaluated, phi
+
+
+def test_a_vacuous_quantifier_over_an_empty_domain_is_true():
+    # no eta row reaches an empty domain from a nonempty one, so only a
+    # world like this, with an assignment made by hand, has one
+    sig = signature([], {"R": 0})
+    raw = RawModel(sig, RawFrame(1, frozenset(), (0,), (((),),)), ({},), ({"R": frozenset()},))
+    g = Assignment(0, 0)
+    assert sat(raw, 0, g, All(X, TOP)) and sat(raw, 0, g, All(X, Pred("R", ())))
+    assert not sat(raw, 0, g, Pred("R", ()))
+    assert sat_reference(raw, 0, g, All(X, Pred("R", ())))
 
 
 # -- assignment-irrelevance lemmas (randomized smoke; acceptance runs more) --
