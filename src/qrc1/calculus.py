@@ -8,16 +8,22 @@ and premise shape, and returns the unique sequent the tree proves.
 
 A tree may share a subtree between several parents, so it is really a
 DAG.  `load_proof` builds one: equal subproofs of a proof file (the same
-rule, parameter objects and premise objects) load as one `Derivation`.
+rule, parameter texts and premise objects) load as one `Derivation`.
 The kernel concludes each distinct node once, in the post-order of its
 first occurrence, and reports a failure at the path of that occurrence,
 so the verdict and the error are those of the tree written out in full.
 
 `check_proof`, behind `qrc1 check`, builds no `Derivation` at all: the
 loader hands each node, in post-order, to `_conclude` as it reads it,
-and equal nodes (the same rule, parameter objects and premise sequents)
+and equal nodes (the same rule, parameter texts and premise sequents)
 are concluded once.  Its verdict, error path and format errors are
-those of `load_proof` followed by `check`.  Loading and checking run on
+those of `load_proof` followed by `check`.  It asks no parameter
+formula or term whether it is well-formed, since the parser vouches for
+that: it rejects an undeclared predicate or a wrong arity, and reads a
+name in term position as a declared constant or else a variable.  The
+constant of ConstE is read as a bare name, so that one is still looked
+up in the signature.  `check` keeps every check, for derivations built
+by hand.  Loading and checking run on
 explicit stacks, so neither depends on the recursion limit, and with
 the cyclic garbage collector paused (`_gc_paused`), since the data they
 build has no cycles.
@@ -31,6 +37,7 @@ from __future__ import annotations
 import functools
 import gc
 import json
+import operator
 
 from .language import (
     All,
@@ -79,6 +86,21 @@ _RULES: dict[str, tuple[int, tuple[str, ...], frozenset[str]]] = {
 }
 
 RULES = tuple(_RULES)
+
+
+def _read_spec(rule: str) -> tuple[Any, ...]:
+    """What `_Loader.load` reads of a node with this rule tag: the tag as
+    `_RULES` spells it, the number of formula parameters ("phi", then
+    "psi"), whether it takes "x", "t" and "c", and a getter of all its
+    parameter texts, or None for a rule with no parameters."""
+    _, f_names, extras = _RULES[rule]
+    x, t, c = "var" in extras, "term" in extras, "const" in extras
+    names = f_names + ("x",) * x + ("t",) * t + ("c",) * c
+    return rule, len(f_names), x, t, c, operator.itemgetter(*names) if names else None
+
+
+_READS = {rule: _read_spec(rule) for rule in _RULES}
+
 
 # closed enumeration of check-failure reasons
 ILL_FORMED = "ill-formed"
@@ -266,6 +288,7 @@ def _check(d: Derivation, sig: Signature | None) -> Sequent:
     # both keyed by id: `d` keeps every node and formula alive, so no id is reused
     done: dict[int, Sequent] = {}
     formed: set[int] = set()
+    constants = sig.constants if sig is not None else None
     todo: list[Derivation | None] = [d]
     while todo:
         node = todo.pop()
@@ -277,7 +300,9 @@ def _check(d: Derivation, sig: Signature | None) -> Sequent:
             todo += (node, None, *node.premises[::-1])
             continue
         try:
-            done[id(node)] = _conclude(sig, formed, node.rule, node.formulas, node.var,
+            if sig is not None:
+                _check_parameters(sig, formed, node)
+            done[id(node)] = _conclude(constants, node.rule, node.formulas, node.var,
                                        node.term, node.const, [done[id(p)] for p in node.premises])
         except CheckError as e:
             raise CheckError(_path(todo, node), e.rule, e.reason, e.detail) from None
@@ -296,49 +321,42 @@ def _path(todo: list[Derivation | None], node: Derivation) -> tuple[int, ...]:
     )
 
 
+def _check_parameters(sig: Signature, formed: set[int], node: Derivation) -> None:
+    """Each parameter formula of `node` must be well-formed in `sig`,
+    unless `formed` already holds its id, and so must its term."""
+    for f in node.formulas:
+        if id(f) in formed:
+            continue
+        if not well_formed(f, sig):
+            raise CheckError((), node.rule, ILL_FORMED, "parameter formula not well-formed")
+        formed.add(id(f))
+    if node.term is not None and not well_formed_term(node.term, sig):
+        raise CheckError((), node.rule, ILL_FORMED, "parameter term not well-formed")
+
+
 def _conclude(
-    sig: Signature | None, formed: set[int], rule: str, formulas: tuple[Formula, ...],
+    constants: frozenset[str] | None, rule: str, formulas: tuple[Formula, ...],
     var: int | None, term: Term | None, const: str | None, prem: Sequence[Sequent],
 ) -> Sequent:
     """The sequent that a node with these fields proves from its premises'
-    sequents `prem`.  With a signature, each parameter formula must be
-    well-formed in it, unless `formed` already holds its id.  A
-    `CheckError` raised here has an empty path, which the caller fills in."""
-    if sig is not None:
-        for f in formulas:
-            if id(f) in formed:
-                continue
-            if not well_formed(f, sig):
-                raise CheckError((), rule, ILL_FORMED, "parameter formula not well-formed")
-            formed.add(id(f))
-        if term is not None and not well_formed_term(term, sig):
-            raise CheckError((), rule, ILL_FORMED, "parameter term not well-formed")
-        if const is not None and const not in sig.constants:
-            raise CheckError((), rule, ILL_FORMED, f"undeclared constant {const!r}")
-
-    if rule == "Top":
-        return Sequent(formulas[0], TOP)
+    sequents `prem`, its parameter formulas and term taken as well-formed.
+    With `constants`, ConstE's constant must be one of them.  A
+    `CheckError` raised here has an empty path, which the caller fills in.
+    Cut and AndI, the rules of half the nodes in a typical proof file,
+    come first, and the rest roughly by how often proofs use them."""
+    if rule == "Cut":
+        first, second = prem
+        middle = first.cons
+        if middle is not second.ante and middle != second.ante:
+            raise CheckError((), rule, PREMISE_MISMATCH, "middle formulas differ")
+        return Sequent(first.ante, second.cons)
+    if rule == "AndI":
+        left, right = prem
+        if left.ante is not right.ante and left.ante != right.ante:
+            raise CheckError((), rule, PREMISE_MISMATCH, "premises have different antecedents")
+        return Sequent(left.ante, And(left.cons, right.cons))
     if rule == "Refl":
         return Sequent(formulas[0], formulas[0])
-    if rule == "AndEl":
-        phi, psi = formulas
-        return Sequent(And(phi, psi), phi)
-    if rule == "AndEr":
-        phi, psi = formulas
-        return Sequent(And(phi, psi), psi)
-    if rule == "Trans":
-        phi = formulas[0]
-        return Sequent(Diam(Diam(phi)), Diam(phi))
-    if rule == "AndI":
-        if prem[0].ante != prem[1].ante:
-            raise CheckError((), rule, PREMISE_MISMATCH, "premises have different antecedents")
-        return Sequent(prem[0].ante, And(prem[0].cons, prem[1].cons))
-    if rule == "Cut":
-        if prem[0].cons != prem[1].ante:
-            raise CheckError((), rule, PREMISE_MISMATCH, "middle formulas differ")
-        return Sequent(prem[0].ante, prem[1].cons)
-    if rule == "Nec":
-        return Sequent(Diam(prem[0].ante), Diam(prem[0].cons))
     if rule == "AllIr":
         if var in fv(prem[0].ante):
             raise CheckError((), rule, VAR_NOT_FRESH, "quantified variable free in the antecedent")
@@ -351,6 +369,14 @@ def _conclude(
         if prem[0].ante != sub(phi, var, term):
             raise CheckError((), rule, PREMISE_MISMATCH, "premise antecedent is not the instance")
         return Sequent(All(var, phi), prem[0].cons)
+    if rule == "Top":
+        return Sequent(formulas[0], TOP)
+    if rule == "AndEl":
+        phi, psi = formulas
+        return Sequent(And(phi, psi), phi)
+    if rule == "AndEr":
+        phi, psi = formulas
+        return Sequent(And(phi, psi), psi)
     if rule == "TermI":
         assert var is not None and term is not None
         if not freefor(prem[0].ante, var, term):
@@ -364,9 +390,16 @@ def _conclude(
         return Sequent(
             sub(prem[0].ante, var, term), sub(prem[0].cons, var, term)
         )
+    if rule == "Nec":
+        return Sequent(Diam(prem[0].ante), Diam(prem[0].cons))
+    if rule == "Trans":
+        phi = formulas[0]
+        return Sequent(Diam(Diam(phi)), Diam(phi))
     # ConstE
     phi, psi = formulas
     assert var is not None and const is not None
+    if constants is not None and const not in constants:
+        raise CheckError((), rule, ILL_FORMED, f"undeclared constant {const!r}")
     if occurs_const(const, phi):
         raise CheckError((), rule, CONST_OCCURS, "constant occurs in the antecedent")
     if occurs_const(const, psi):
@@ -543,7 +576,7 @@ def check_proof(data: str | dict[str, Any]) -> CheckedProof:
         data, sig = syntax.document_from_json(data, "proof", ProofFormatError)
         table = SymbolTable()
         loader = _Loader(sig, table)
-        seq = loader.load(data.get("proof"), functools.partial(_conclude, sig, set()))
+        seq = loader.load(data.get("proof"), functools.partial(_conclude, sig.constants))
         return CheckedProof(sig, table, seq, loader.failure, loader.nodes, loader.depth)
 
 
@@ -556,8 +589,8 @@ class _Loader:
     node's own parameters are read before its premises, and its premise
     count is checked after them.  Each distinct formula, term or variable
     text is parsed once.  Each node is built once its premises are, and
-    nodes with the same rule, parameters and built premises are built once
-    (see `load`)."""
+    nodes with the same rule, parameter texts and built premises are built
+    once (see `load`)."""
 
     def __init__(self, sig: Signature, table: SymbolTable):
         self.sig = sig
@@ -565,8 +598,8 @@ class _Loader:
         self.formulas: dict[str, Formula] = {}
         self.terms: dict[str, Term] = {}
         self.variables: dict[str, int] = {}
-        # keyed by the ids of parameters and built premises; each value keeps
-        # its premises alive, and `formulas` and `terms` keep the parameters
+        # keyed by the rule, its parameter texts and the ids of its built
+        # premises; every built node is a value here, so no id is reused
         self.shared: dict[tuple[Any, ...], Any] = {}
         # built nodes not yet taken by their parent
         self.built: list[Any] = []
@@ -586,27 +619,54 @@ class _Loader:
         only format errors are still found."""
         todo = [root]
         built, open_, shared = self.built, self.open, self.shared
+        fmemo, tmemo, vmemo = self.formulas, self.terms, self.variables
         failure = None
         nodes = depth = 0
         while todo:
             obj = todo.pop()
             if obj is _PREMISES_BUILT:
-                rule, formulas, var, term, const, base = open_.pop()
+                rule, texts, formulas, var, term, const, base = open_.pop()
                 premises = tuple(built[base:])
                 del built[base:]
+                n = len(premises)  # spelled out for one and two, the rules' counts
+                key = ((rule, texts, id(premises[0]), id(premises[1])) if n == 2 else
+                       (rule, texts, id(premises[0])) if n == 1 else
+                       (rule, texts, *map(id, premises)))
             else:
-                rule, formulas, var, term, const, raw_premises = self.node(obj)
+                # each field read through `_READS` and the memos, where a hit
+                # is what `node` would return; a miss or a field of the wrong
+                # type (a KeyError or TypeError here, or a failed test) goes
+                # through `node`, which parses it or raises the format error
+                try:
+                    rule, n_form, has_x, has_t, has_c, names = _READS[obj["rule"]]
+                    params, raw = obj["params"], obj["premises"]
+                    formulas = (() if not n_form else (fmemo[params["phi"]],) if n_form == 1
+                                else (fmemo[params["phi"]], fmemo[params["psi"]]))
+                    var = vmemo[params["x"]] if has_x else None
+                    term = tmemo[params["t"]] if has_t else None
+                    const = params["c"] if has_c else None
+                    read = (type(obj) is dict and type(params) is dict and type(raw) is list
+                            and (not has_c or syntax.is_name(const)))
+                except (KeyError, TypeError):
+                    read = False
+                if not read:
+                    rule, formulas, var, term, const, raw = self.node(obj)
+                    params = obj.get("params")
+                    names = _READS[rule][-1]
+                # in the key the parameter texts stand for what they parse
+                # to: through the memos, one text gives one object
+                texts = names(params) if names else None
                 nodes += 1
                 base = len(built)
-                if raw_premises:
-                    open_.append((rule, formulas, var, term, const, base))
+                if raw:
+                    open_.append((rule, texts, formulas, var, term, const, base))
                     todo.append(_PREMISES_BUILT)
-                    todo += reversed(raw_premises)
+                    todo += reversed(raw)
                     continue
                 if len(open_) >= depth:  # the deepest node is a leaf
                     depth = len(open_) + 1
                 premises = ()
-            key = (rule, var, id(term), const, *map(id, formulas + premises))
+                key = (rule, texts)
             out = shared.get(key)
             if out is None:
                 n_prem = _RULES[rule][0]

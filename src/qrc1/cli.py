@@ -108,15 +108,18 @@ def _read(path: str) -> str:
 
 def _assign_overrides(spec: str, sig: Signature) -> dict[str, int]:
     """The --assign entries, ``name=value``, by variable name: a name the
-    formula parser would read as a variable, so not a declared constant."""
+    formula parser would read as a variable, so not a declared constant.
+    A syntax error's offset is where its entry starts in `spec`."""
     overrides: dict[str, int] = {}
     if not spec.strip():
         return overrides
+    at = 0
     for part in spec.split(","):
+        start, at = at, at + len(part) + 1
         name, eq, value = part.partition("=")
         name = name.strip()
         if not eq or not name:
-            raise ParseError(f"bad assignment entry {part!r}", 0)
+            raise ParseError(f"bad assignment entry {part!r}", start)
         if not syntax.is_name(name):
             raise ValueError(f"cannot assign {name!r}: not a variable name")
         if name in sig.constants:
@@ -124,7 +127,7 @@ def _assign_overrides(spec: str, sig: Signature) -> dict[str, int]:
         try:
             overrides[name] = int(value.strip())
         except ValueError:
-            raise ParseError(f"bad assignment value in {part!r}", 0) from None
+            raise ParseError(f"bad assignment value in {part!r}", start) from None
     return overrides
 
 

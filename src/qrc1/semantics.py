@@ -343,10 +343,15 @@ def sat(m: Model | RawModel, w: int, g: Assignment, phi: Formula) -> bool:
     a diamond asks for a related world where the body holds under the
     eta-composed assignment; the universal quantifier enumerates the
     world's (finite) domain.  Adequacy is not required.  The caller's
-    assignment is left as it was, also when `sat` raises.
+    assignment is left as it was, also when `sat` raises.  A constant the
+    model does not interpret raises `ValueError`, as in `assign_term`.
     """
     raw = m.raw if isinstance(m, Model) else m
-    return _holds(raw, w, g.default, dict(g.overrides), phi)
+    env = dict(g.overrides)
+    try:
+        return _holds(raw, w, g.default, env, phi)
+    except KeyError as e:  # a constant's, the one lookup in `_holds` that can miss
+        raise ValueError(f"undeclared constant {e.args[0]!r}") from None
 
 
 _NO_TUPLES: frozenset[tuple[int, ...]] = frozenset()

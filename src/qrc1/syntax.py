@@ -38,7 +38,6 @@ from .language import (
     Sequent,
     Signature,
     Term,
-    Top,
     TOP,
     Var,
 )
@@ -376,8 +375,6 @@ def signature_from_json(obj: Any, error: type[ValueError]) -> Signature:
 
 # -- printing --------------------------------------------------------
 
-_CONJ, _UNARY = 0, 1
-
 
 def _avoid(sig: Signature | None) -> frozenset[str]:
     return sig.constants if sig is not None else frozenset()
@@ -394,7 +391,7 @@ def format_formula(
     phi: Formula, table: SymbolTable | None = None, sig: Signature | None = None
 ) -> str:
     table = table or SymbolTable()
-    return _fmt(phi, table, _avoid(sig), _CONJ)
+    return _fmt(phi, table, _avoid(sig))
 
 
 def format_sequent(
@@ -402,25 +399,38 @@ def format_sequent(
 ) -> str:
     table = table or SymbolTable()
     avoid = _avoid(sig)
-    return f"{_fmt(seq.ante, table, avoid, _CONJ)} ~> {_fmt(seq.cons, table, avoid, _CONJ)}"
+    return f"{_fmt(seq.ante, table, avoid)} ~> {_fmt(seq.cons, table, avoid)}"
 
 
-def _fmt(phi: Formula, table: SymbolTable, avoid: frozenset[str], level: int) -> str:
-    if isinstance(phi, Top):
-        return "T"
-    if isinstance(phi, Pred):
-        if not phi.args:
-            return phi.name
-        args = ", ".join(
-            a.name if isinstance(a, Const) else table.name_of(a.id, avoid)
-            for a in phi.args
-        )
-        return f"{phi.name}({args})"
-    if isinstance(phi, Diam):
-        return f"<> {_fmt(phi.body, table, avoid, _UNARY)}"
-    if isinstance(phi, All):
-        name = table.name_of(phi.var, avoid)
-        return f"A {name} . {_fmt(phi.body, table, avoid, _UNARY)}"
-    # conjunction: parenthesized whenever it appears under a unary connective
-    text = f"{_fmt(phi.left, table, avoid, _CONJ)} & {_fmt(phi.right, table, avoid, _UNARY)}"
-    return f"({text})" if level == _UNARY else text
+def _fmt(phi: Formula, table: SymbolTable, avoid: frozenset[str]) -> str:
+    """The text of `phi`, written on an explicit stack of what is still to
+    be written: formulas and literal strings.  A conjunction is
+    parenthesized where it is the body of a unary connective or the right
+    side of ``&``, which is left-associative."""
+    out: list[str] = []
+    todo: list[Any] = [phi]
+    while todo:
+        phi = todo.pop()
+        kind = type(phi)
+        if kind is str:
+            out.append(phi)
+        elif kind is Pred:
+            if not phi.args:
+                out.append(phi.name)
+            else:
+                args = ", ".join(
+                    a.name if type(a) is Const else table.name_of(a.id, avoid)
+                    for a in phi.args
+                )
+                out.append(f"{phi.name}({args})")
+        elif kind is And:
+            right = phi.right
+            todo += (")", right, "(", " & ") if type(right) is And else (right, " & ")
+            todo.append(phi.left)
+        elif kind is Diam or kind is All:
+            out.append("<> " if kind is Diam else f"A {table.name_of(phi.var, avoid)} . ")
+            body = phi.body
+            todo += (")", body, "(") if type(body) is And else (body,)
+        else:  # Top
+            out.append("T")
+    return "".join(out)

@@ -523,13 +523,16 @@ class _Loader:
 
     def param(self, params: dict[str, Any], key: str, rule: str, at: tuple[int, ...],
               parse: Any = None) -> Any:
-        """Parameter `key` as a string, or as parsed by `parse` in the file's
-        signature and table."""
+        """Parameter `key` as parsed by `parse` in the file's signature and
+        table, or without `parse` a name: 'x' a variable's, 'c' a constant's."""
         if key not in params:
             raise ProofFormatError(f"{_where(at)}: {rule} requires parameter {key!r}")
         text = params[key]
         if parse is None:
-            return str(text)
+            if not syntax.is_name(text):
+                kind = "variable" if key == "x" else "constant"
+                raise ProofFormatError(f"{_where(at)}: parameter {key!r} must be a {kind} name")
+            return text
         if not isinstance(text, str):
             raise ProofFormatError(f"{_where(at)}: parameter {key!r} must be a string")
         parsed = self.parsed.get((parse, text))

@@ -200,6 +200,19 @@ def test_sat_assign_takes_variables_only_and_names_them_in_errors(capsys, tmp_pa
     assert run(capsys, *sat, "--assign", "x=1,y=0") == (0, "true\n", "")
 
 
+def test_sat_assign_syntax_errors_point_at_their_entry(capsys, one_world):
+    sat = ("sat", one_world, "--world", "0", "--formula", "T", "--assign")
+    for spec, error in [
+        ("x=1,y", "bad assignment entry 'y' (at offset 4)"),
+        ("x", "bad assignment entry 'x' (at offset 0)"),
+        ("x=1, =2", "bad assignment entry ' =2' (at offset 4)"),
+        ("x=a", "bad assignment value in 'x=a' (at offset 0)"),
+        ("x=0,,y=0", "bad assignment entry '' (at offset 4)"),
+        ("x=0,y=1,z=b", "bad assignment value in 'z=b' (at offset 8)"),
+    ]:
+        assert run(capsys, *sat, spec) == (65, "", f"qrc1: {error}\n"), spec
+
+
 # -- adequate ----------------------------------------------------------
 
 
@@ -496,6 +509,17 @@ def test_moderately_deep_proof_file_checks(capsys, tmp_path):
     code, out, _ = run(capsys, "check", str(path), "--json")
     assert code == 0
     assert json.loads(out)["sequent"] == "<> " * 300 + "T ~> " + "<> " * 300 + "T"
+
+
+def test_a_deep_parameter_formula_checks_and_prints(capsys, tmp_path):
+    # no step of `qrc1 check` recurses on a formula: the parser, the kernel
+    # (which takes the parser's output as well-formed) and the printer
+    phi = "<> " * 10_000 + "T"
+    path = tmp_path / "deep_phi.qpf"
+    path.write_text(json.dumps({"signature": {"constants": [], "predicates": {}},
+                                "proof": {"rule": "Refl", "params": {"phi": phi},
+                                          "premises": []}}))
+    assert run(capsys, "check", str(path)) == (0, f"{phi} ~> {phi}\n", "")
 
 
 def test_deep_formula_is_a_data_error(capsys):

@@ -6,19 +6,23 @@ cyclic garbage collector."""
 import copy
 import gc
 import random
+from types import MappingProxyType
 
 import pytest
 
 from qrc1 import (
     TOP,
+    All,
     And,
     CheckError,
+    Const,
     Diam,
     Pred,
     ProofFormatError,
     Sequent,
     SymbolTable,
     Var,
+    all_instantiate,
     and_intro,
     ax_refl,
     ax_top,
@@ -29,6 +33,8 @@ from qrc1 import (
     cut,
     dump_proof,
     format_sequent,
+    generalize_constant,
+    instantiate_consequent,
     load_proof,
     nec,
     parse_sequent,
@@ -59,6 +65,14 @@ def _found_proofs():
         d = proof_search(goal, sig, BOUNDS)
         if d is not None:
             found.append((used_signature(sig, d), d))
+    # and proofs with the TermI and ConstE nodes that search does not write:
+    # A x . P(x) ~> P(c), and A x . P(x) ~> A y . P(y) through P(c)
+    table = SymbolTable()
+    x, y = table.intern("x"), table.intern("y")
+    all_p = All(x, Pred("P", (Var(x),)))
+    to_c = instantiate_consequent(all_instantiate(Pred("P", (Var(x),)), x, Var(y)), y, Const("c"))
+    found += [(SIG, to_c), (SIG, generalize_constant(to_c, y, "c")),
+              (SIG, and_intro(to_c, ax_refl(all_p)))]
     return found
 
 
@@ -72,24 +86,49 @@ def _documents():
     return docs
 
 
-def _nodes(doc):
-    stack = [doc["proof"]]
+def _places(doc):
+    """(container, key) for each node of `doc`, a parent before its
+    premises: the node is `container[key]`."""
+    stack = [(doc, "proof")]
     while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(node["premises"])
+        container, key = stack.pop()
+        yield container, key
+        premises = container[key]["premises"]
+        stack.extend((premises, j) for j in range(len(premises)))
+
+
+def _nodes(doc):
+    for container, key in _places(doc):
+        yield container[key]
+
+
+_DROP = object()  # an edit's value that deletes the key
 
 
 def _edits(doc):
-    """(node index, key, value) for each of four ways to change one node."""
+    """(node index, key, value) for each way to change one node: its rule,
+    a parameter, its params or premises replaced or dropped, or the whole
+    node replaced (key None) by something that is not an object."""
     for i, node in enumerate(_nodes(doc)):
+        params = node["params"]
         yield i, "rule", "Bogus"
-        if "phi" in node["params"]:
-            yield i, "phi", node["params"]["phi"] + " & T"
+        yield i, None, node["rule"]
+        yield i, "params", list(params.values())
+        yield i, "premises", {}
+        if not params:
+            yield i, "params", _DROP
+        if not node["premises"]:
+            yield i, "premises", _DROP
+        if "phi" in params:
+            yield i, "phi", params["phi"] + " & T"
         for key in ("phi", "psi", "t"):
-            if key in node["params"]:
+            if key in params:
                 yield i, key, 7
                 break
+        if "x" in params:
+            yield i, "x", [params["x"]]
+        if "c" in params:
+            yield i, "c", "T"
         if node["premises"]:
             yield i, "premises", node["premises"][:-1]
 
@@ -98,17 +137,24 @@ def _corrupted(doc, edits):
     """A copy of `doc` with `edits` made, each to the node it names in `doc`
     (an edit inside premises that another edit drops is lost)."""
     bad = copy.deepcopy(doc)
-    nodes = list(_nodes(bad))
+    places = list(_places(bad))
+    nodes = [container[key] for container, key in places]
     for i, key, value in edits:
-        if key in ("rule", "premises"):
-            nodes[i][key] = value
+        if key is None:
+            container, at = places[i]
+            container[at] = value
+            continue
+        target = nodes[i] if key in ("rule", "params", "premises") else nodes[i]["params"]
+        if value is _DROP:
+            del target[key]
         else:
-            nodes[i]["params"][key] = value
+            target[key] = value
     return bad
 
 
 def _corruptions(doc):
-    """Every copy of `doc` with one node changed in one of four ways."""
+    """Every copy of `doc` with one node changed in one of the ways of
+    `_edits`."""
     for edit in _edits(doc):
         yield _corrupted(doc, [edit])
 
@@ -353,9 +399,10 @@ def _with_x(value):
 
 @pytest.mark.parametrize("value", [7, None, "T", "A", "x y", " x", "", "x.", ["x"]])
 def test_the_variable_parameter_must_be_a_variable_name(value):
-    with pytest.raises(ProofFormatError) as e:
-        load_proof(_with_x(value))
-    assert str(e.value) == "proof: parameter 'x' must be a variable name"
+    for read in (load_proof, check_proof):
+        with pytest.raises(ProofFormatError) as e:
+            read(_with_x(value))
+        assert str(e.value) == "proof: parameter 'x' must be a variable name"
 
 
 def test_a_variable_name_loads():
@@ -375,19 +422,38 @@ def _with_c(value):
 
 @pytest.mark.parametrize("value", [None, 7, "T", "x y", "", ["k"]])
 def test_the_constant_parameter_must_be_a_constant_name(value):
-    with pytest.raises(ProofFormatError) as e:
-        load_proof(_with_c(value))
-    assert str(e.value) == "proof: parameter 'c' must be a constant name"
+    for read in (load_proof, check_proof):
+        with pytest.raises(ProofFormatError) as e:
+            read(_with_c(value))
+        assert str(e.value) == "proof: parameter 'c' must be a constant name"
 
 
 def test_a_constant_name_loads_and_an_undeclared_one_is_ill_formed():
     loaded = load_proof(_with_c("k"))
     seq = check(loaded.derivation, loaded.sig)
     assert format_sequent(seq, loaded.table, loaded.sig) == "P(x) ~> P(x)"
+    checked = check_proof(_with_c("k"))
+    assert format_sequent(checked.sequent, checked.table, checked.sig) == "P(x) ~> P(x)"
+    # `check_proof` trusts the parser for formulas and terms, but reads `c`
+    # as a bare name, so it still checks it against the signature
     loaded = load_proof(_with_c("j"))
     with pytest.raises(CheckError) as e:
         check(loaded.derivation, loaded.sig)
-    assert e.value.detail == "undeclared constant 'j'"
+    error = check_proof(_with_c("j")).error
+    for e in (e.value, error):
+        assert (e.path, e.rule, e.reason, e.detail) == (
+            (), "ConstE", "ill-formed", "undeclared constant 'j'")
+
+
+def test_a_mapping_that_is_not_a_dict_is_not_an_object():
+    # as JSON decodes it, an object is a dict; a read-only view of one is not
+    leaf = {"rule": "Refl", "params": {"phi": "T"}, "premises": []}
+    for premise, message in [
+        (MappingProxyType(leaf), "expected an object"),
+        ({**leaf, "params": MappingProxyType(leaf["params"])}, "'params' must be an object"),
+    ]:
+        doc = _file({"rule": "AndI", "params": {}, "premises": [leaf, premise]})
+        assert _outcome(doc) == ("format", f"proof.premises[1]: {message}")
 
 
 def test_a_rule_tag_that_is_not_a_string_is_a_format_error():

@@ -20,6 +20,8 @@ from qrc1 import (
     parse_sequent,
     parse_term,
     signature,
+    well_formed,
+    well_formed_term,
 )
 
 from conftest import BATTERY, SIG, formulas, parse_reference, parse_signature
@@ -264,6 +266,45 @@ def test_parser_agrees_with_the_recursive_parser_on_any_text(text):
     _assert_parsers_agree(text, "problem")
 
 
+# formula texts over a few names, each used as a predicate of any arity
+# and as a term, so that a text may name what a signature does not declare
+_NAMES = st.sampled_from(["P", "Q", "c", "d", "x"])
+_ATOM_TEXTS = st.one_of(
+    st.just("T"),
+    _NAMES,
+    st.builds(lambda p, args: f"{p}({', '.join(args)})", _NAMES,
+              st.lists(_NAMES, min_size=1, max_size=3)),
+)
+_FORMULA_TEXTS = st.recursive(
+    _ATOM_TEXTS,
+    lambda kids: st.one_of(
+        st.builds("({} & {})".format, kids, kids),
+        st.builds("<> {}".format, kids),
+        st.builds("A {} . {}".format, _NAMES, kids),
+    ),
+    max_leaves=8,
+)
+_SIGNATURES = st.builds(
+    lambda constants, predicates: signature(constants - set(predicates), predicates),
+    st.sets(_NAMES), st.dictionaries(_NAMES, st.integers(0, 3)),
+)
+
+
+@given(_SIGNATURES, _FORMULA_TEXTS, _NAMES)
+def test_what_the_parser_returns_is_well_formed(sig, text, name):
+    """`check_proof` concludes from parser output without asking
+    `well_formed` again: a text that parses in a signature is well-formed
+    in it, since an undeclared predicate or a wrong arity does not parse,
+    and a name in term position is a declared constant or else a variable."""
+    try:
+        phi = parse_formula(text, sig)
+    except ParseError:
+        pass
+    else:
+        assert well_formed(phi, sig)
+    assert well_formed_term(parse_term(name, sig), sig)
+
+
 DEEP = 10**5
 
 
@@ -281,6 +322,17 @@ def test_deep_nesting_parses_without_recursion(opening, closing, depth):
     table = SymbolTable()
     phi = parse_formula(opening * DEEP + "P(x)" + closing * DEEP, SIG, table)
     assert _unary_depth(phi) == (depth, Pred("P", (Var(table.intern("x")),)))
+
+
+@pytest.mark.parametrize("opening, closing", [
+    ("<> ", ""), ("A x . ", ""), ("<> (", " & R)"), ("R & (", ")"), ("", " & R"),
+])
+def test_deep_nesting_prints_without_recursion(opening, closing):
+    text = opening * DEEP + "P(x) & R" + closing * DEEP  # as the printer writes it
+    table = SymbolTable()
+    phi = parse_formula(text, SIG, table)
+    assert format_formula(phi, table, SIG) == text
+    assert format_sequent(Sequent(phi, TOP), table, SIG) == f"{text} ~> T"
 
 
 def test_deep_conjunction_and_unclosed_parentheses():
