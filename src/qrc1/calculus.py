@@ -85,8 +85,6 @@ _RULES: dict[str, tuple[int, tuple[str, ...], frozenset[str]]] = {
     "ConstE": (1, ("phi", "psi"), frozenset({"var", "const"})),
 }
 
-RULES = tuple(_RULES)
-
 
 def _read_spec(rule: str) -> tuple[Any, ...]:
     """What `_Loader.load` reads of a node with this rule tag: the tag as

@@ -17,7 +17,7 @@ import sys
 from itertools import islice
 
 from . import calculus, generate, search, semantics, syntax
-from .calculus import CheckError, _gc_paused
+from .calculus import _gc_paused
 from .semantics import ModelFormatError
 from .syntax import ParseError, SymbolTable
 
@@ -172,19 +172,25 @@ def _witness(
                               *(f"{x}={v}" for x, v in overrides.items())])
 
 
+def _rejected(args: argparse.Namespace, checked: calculus.CheckedProof) -> int:
+    """Report the kernel's rejection of a proof file, as `check` does."""
+    e = checked.error
+    return _write(args, 1, {"ok": False, "rule": e.rule, "path": list(e.path),
+                            "reason": e.reason, "detail": e.detail,
+                            "nodes": checked.nodes, "depth": checked.depth},
+                  f"check error: {e}")
+
+
 def _cmd_check(args: argparse.Namespace) -> int:
     # the whole command, its output included, builds only acyclic data,
     # freed when it returns
     with _gc_paused():
         checked = calculus.check_proof(_read(args.proof))
-        read = {"nodes": checked.nodes, "depth": checked.depth}
-        e = checked.error
-        if e is not None:
-            return _write(args, 1, {"ok": False, "rule": e.rule, "path": list(e.path),
-                                    "reason": e.reason, "detail": e.detail, **read},
-                          f"check error: {e}")
+        if checked.error is not None:
+            return _rejected(args, checked)
         text = syntax.format_sequent(checked.sequent, checked.table, checked.sig)
-        return _write(args, 0, {"ok": True, "sequent": text, **read}, text)
+        return _write(args, 0, {"ok": True, "sequent": text, "nodes": checked.nodes,
+                                "depth": checked.depth}, text)
 
 
 def _cmd_sat(args: argparse.Namespace) -> int:
@@ -257,18 +263,17 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_soundness(args: argparse.Namespace) -> int:
     import random
 
-    loaded = calculus.load_proof(_read(args.proof))
-    calculus.check(loaded.derivation, loaded.sig)  # raises CheckError via main
+    checked = calculus.check_proof(_read(args.proof))
+    if checked.error is not None:
+        return _rejected(args, checked)
     seed = int(os.environ.get("QRC1_SEED", "0"))
     bounds = generate.GenBounds(max_worlds=args.max_worlds, max_domain=args.max_domain)
-    models = islice(generate.generate_models(loaded.sig, bounds, seed), args.models)
-    hit = search.soundness_check(
-        loaded.derivation, models, args.samples, random.Random(seed)
-    )
+    models = islice(generate.generate_models(checked.sig, bounds, seed), args.models)
+    hit = search.soundness_check(checked.sequent, models, args.samples, random.Random(seed))
     if hit is None:
         return _write(args, 0, {"counterexample": False, "models": args.models, "seed": seed},
                       f"no counterexample over {args.models} models (seed {seed})")
-    fields, _ = _witness(loaded.table, *hit)
+    fields, _ = _witness(checked.table, *hit)
     return _write(args, 1, {"counterexample": True, **fields}, fields["model"],
                   "counterexample found (kernel bug):")
 
@@ -291,9 +296,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except CheckError as e:
-        print(f"qrc1: {e}", file=sys.stderr)
-        return 1
     except ValueError as e:
         print(f"qrc1: {e}", file=sys.stderr)
         return EX_DATA

@@ -277,8 +277,21 @@ def occurs_const(c: str, phi: Formula) -> bool:
     return c in consts_of(phi)
 
 
-def sub_term(t: Term, x: int, r: Term) -> Term:
-    return r if isinstance(t, Var) and t.id == x else t
+def _replace(phi: Formula, old: Term, new: Term) -> Formula:
+    """Replace every free occurrence of the term ``old`` by ``new``: a
+    binder for ``old`` shields its scope, and a part where ``old`` does
+    not occur free is returned itself, not rebuilt."""
+    if (old.id not in fv(phi)) if type(old) is Var else (old.name not in consts_of(phi)):
+        return phi
+    kind = type(phi)
+    if kind is Pred:
+        return Pred(phi.name, tuple(new if a == old else a for a in phi.args))
+    if kind is And:
+        return And(_replace(phi.left, old, new), _replace(phi.right, old, new))
+    if kind is Diam:
+        return Diam(_replace(phi.body, old, new))
+    assert kind is All  # old is not free in Top, nor in an All binding it
+    return All(phi.var, _replace(phi.body, old, new))
 
 
 def sub(phi: Formula, x: int, t: Term) -> Formula:
@@ -288,16 +301,9 @@ def sub(phi: Formula, x: int, t: Term) -> Formula:
     renaming is performed; callers that care must check `freefor` first.
     A part where ``x`` is not free is returned itself, not rebuilt.
     """
-    if x not in fv(phi):
-        return phi
-    if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(sub_term(a, x, t) for a in phi.args))
-    if isinstance(phi, And):
-        return And(sub(phi.left, x, t), sub(phi.right, x, t))
-    if isinstance(phi, Diam):
-        return Diam(sub(phi.body, x, t))
-    assert isinstance(phi, All)  # x is not free in Top, nor in an All binding x
-    return All(phi.var, sub(phi.body, x, t))
+    # the kernel's substitutions mostly find x not free: answer those
+    # before building the term Var(x)
+    return phi if x not in fv(phi) else _replace(phi, Var(x), t)
 
 
 def freefor(phi: Formula, x: int, t: Term) -> bool:
@@ -325,15 +331,14 @@ def well_formed_term(t: Term, sig: Signature) -> bool:
 
 
 def well_formed(phi: Formula, sig: Signature) -> bool:
-    """Every predicate is declared with matching arity, every constant declared."""
-    if isinstance(phi, Pred):
-        return sig.predicates.get(phi.name) == len(phi.args) and all(
-            well_formed_term(a, sig) for a in phi.args
-        )
-    if isinstance(phi, And):
-        return well_formed(phi.left, sig) and well_formed(phi.right, sig)
-    if isinstance(phi, (Diam, All)):
-        return well_formed(phi.body, sig)
+    """Every predicate is declared with matching arity, every constant
+    declared.  Walks `subformulas`, so any depth of nesting is checked."""
+    for part in subformulas(phi):
+        if type(part) is Pred:
+            if sig.predicates.get(part.name) != len(part.args):
+                return False
+            if not all(well_formed_term(a, sig) for a in part.args):
+                return False
     return True
 
 
@@ -364,14 +369,4 @@ def generalize(phi: Formula, t: Term, x: int) -> Formula:
     re-checks any use, so a bad choice is caught rather than silent.
     A part where ``t`` does not occur free is returned itself.
     """
-    occurs = t.id in fv(phi) if isinstance(t, Var) else t.name in consts_of(phi)
-    if not occurs:
-        return phi
-    if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(Var(x) if a == t else a for a in phi.args))
-    if isinstance(phi, And):
-        return And(generalize(phi.left, t, x), generalize(phi.right, t, x))
-    if isinstance(phi, Diam):
-        return Diam(generalize(phi.body, t, x))
-    assert isinstance(phi, All)  # likewise t
-    return All(phi.var, generalize(phi.body, t, x))
+    return _replace(phi, t, Var(x))

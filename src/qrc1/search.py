@@ -83,7 +83,6 @@ from .calculus import (
     ax_top,
     ax_trans,
     check,
-    conclusion,
     const_elim,
     cut as cut_rule,
     nec,
@@ -170,19 +169,19 @@ def _stop_at(bounds: SearchBounds) -> float | None:
 
 
 def soundness_check(
-    d: Derivation,
+    seq: Sequent,
     models: Iterable[Model],
     samples_per_model: int = 8,
     rng: random.Random | None = None,
 ) -> tuple[Model, int, Assignment] | None:
-    """Look for a world and assignment where the derivation's conclusion
-    fails, over every world of every supplied model with randomly sampled
-    assignments.  A hit would indicate a kernel bug.
+    """Look for a world and assignment where the sequent fails (its
+    antecedent holds and its consequent does not), over every world of
+    every supplied model with randomly sampled assignments.  For the
+    conclusion of a checked derivation, a hit would indicate a kernel bug.
     """
     import random
 
     rng = rng or random.Random(0)
-    seq = conclusion(d)
     variables = sorted(fv(seq.ante) | fv(seq.cons))
     for m in models:
         raw = m.raw

@@ -174,6 +174,23 @@ def test_term_inst_rejects_capture_in_consequent():
     assert e.value.reason == NOT_FREE_FOR
 
 
+def test_term_inst_rejects_capture_in_the_consequent_alone():
+    # P(x) ~> A y . P(x), then x := y: free for x in the antecedent only;
+    # accepted, it would prove P(y) ~> A y . P(y)
+    d = term_inst(all_intro_right(ax_refl(P(Var(X))), Y), X, Var(Y))
+    with pytest.raises(CheckError) as e:
+        check(d, SIG)
+    assert (e.value.path, e.value.reason) == ((), NOT_FREE_FOR)
+    assert "consequent" in e.value.detail
+
+
+def test_term_inst_rejects_an_undeclared_constant_term():
+    d = term_inst(ax_refl(P(Var(X))), X, Const("zz"))
+    with pytest.raises(CheckError) as e:
+        check(d, SIG)
+    assert (e.value.path, e.value.rule, e.value.reason) == ((), "TermI", ILL_FORMED)
+
+
 def test_const_elim_generalizes_a_fresh_constant():
     p = P(Var(X))
     d = const_elim(p, p, X, "c", ax_refl(P(Const("c"))))
@@ -186,6 +203,16 @@ def test_const_elim_rejects_occurring_constant():
     with pytest.raises(CheckError) as e:
         check(d, SIG)
     assert e.value.reason == CONST_OCCURS
+
+
+def test_const_elim_rejects_a_constant_in_the_consequent():
+    # accepted, it would prove P(x) ~> P(c) from P(c) ~> P(c)
+    pc = P(Const("c"))
+    d = const_elim(P(Var(X)), pc, X, "c", ax_refl(pc))
+    with pytest.raises(CheckError) as e:
+        check(d, SIG)
+    assert (e.value.path, e.value.reason) == ((), CONST_OCCURS)
+    assert "consequent" in e.value.detail
 
 
 def test_const_elim_rejects_non_instance_premise():
@@ -229,6 +256,17 @@ def test_derivation_arity_enforced_at_construction():
         Derivation("Top")
     with pytest.raises(ValueError):
         Derivation("NoSuchRule")
+
+
+@pytest.mark.parametrize("kind, make", [
+    ("variable", lambda: Derivation("AllIr", premises=(ax_refl(TOP),))),
+    ("variable", lambda: Derivation("Refl", (TOP,), var=X)),
+    ("term", lambda: Derivation("TermI", var=X, premises=(ax_refl(TOP),))),
+    ("constant", lambda: Derivation("ConstE", (TOP, TOP), var=X, premises=(ax_refl(TOP),))),
+], ids=["AllIr-without-var", "Refl-with-var", "TermI-without-term", "ConstE-without-const"])
+def test_derivation_parameters_enforced_at_construction(kind, make):
+    with pytest.raises(ValueError, match=f"bad {kind} parameter"):
+        make()
 
 
 # -- derived rule builders ----------------------------------------------

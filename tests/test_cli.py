@@ -62,19 +62,22 @@ def test_check_prints_the_proved_sequent(capsys, trans_proof):
     assert out.strip() == "<> <> P(x) ~> <> P(x)"
 
 
+# the kernel rejects it: x is free in the antecedent of AllIr's premise
+REJECTED = {
+    "signature": {"constants": [], "predicates": {"P": 1}},
+    "proof": {
+        "rule": "AllIr",
+        "params": {"x": "x"},
+        "premises": [
+            {"rule": "Refl", "params": {"phi": "P(x)"}, "premises": []}
+        ],
+    },
+}
+
+
 def test_check_reports_invalid_proofs(capsys, tmp_path):
-    doc = {
-        "signature": {"constants": [], "predicates": {"P": 1}},
-        "proof": {
-            "rule": "AllIr",
-            "params": {"x": "x"},
-            "premises": [
-                {"rule": "Refl", "params": {"phi": "P(x)"}, "premises": []}
-            ],
-        },
-    }
     path = tmp_path / "bad.qpf"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(REJECTED))
     code, out, err = run(capsys, "check", str(path))
     assert code == 1
     assert "var-not-fresh" in out + err
@@ -407,6 +410,15 @@ def test_soundness_command_runs_clean(capsys, trans_proof, monkeypatch):
     assert "12345" in out
 
 
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_soundness_reports_a_rejected_proof_as_check_does(capsys, tmp_path, flags):
+    path = tmp_path / "bad.qpf"
+    path.write_text(json.dumps(REJECTED))
+    checked = run(capsys, "check", str(path), *flags)
+    assert checked[0] == 1 and checked[1] != ""
+    assert run(capsys, "soundness", str(path), *flags) == checked
+
+
 # -- error handling ----------------------------------------------------------
 
 
@@ -485,6 +497,18 @@ def test_unexpected_exception_exits_70_not_1(capsys, monkeypatch):
     code, _, err = run(capsys, "check", "whatever.qpf")
     assert code == 70
     assert err == "qrc1: internal error: RuntimeError: wired for the test\n"
+
+
+@pytest.mark.parametrize("flags", [(), ("--json",)])
+def test_a_search_proof_the_kernel_rejects_exits_70_not_1(capsys, monkeypatch, flags):
+    from qrc1 import and_intro, ax_refl, ax_top
+    from qrc1.search import _ProofSearch
+
+    bad = and_intro(ax_refl(TOP), ax_top(Pred("P", (Var(0),))))
+    monkeypatch.setattr(_ProofSearch, "dfs", lambda self, *args: bad)
+    code, out, err = run(capsys, "decide", "pred P/1. T ~> T", *flags)
+    assert (code, out) == (70, "")
+    assert err.startswith("qrc1: internal error: CheckError: premise-mismatch in AndI")
 
 
 def _nec_chain(depth):

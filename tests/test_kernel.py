@@ -41,6 +41,7 @@ from qrc1 import (
     proof_search,
     signature,
     used_signature,
+    well_formed,
 )
 from qrc1.generate import random_formula
 from qrc1.search import SearchBounds
@@ -340,6 +341,16 @@ def test_a_deep_chain_checks_without_recursion():
         d = nec(d)
     _assert_deep_conclusion(check(d, SIG))
     _assert_deep_conclusion(conclusion(d))
+
+
+def test_a_deep_parameter_formula_checks_without_recursion():
+    # well-formedness walks the formula on an explicit stack
+    phi, bad = TOP, Pred("Unknown", ())
+    for _ in range(10_000):
+        phi, bad = Diam(phi), Diam(bad)
+    assert well_formed(phi, SIG) and not well_formed(bad, SIG)
+    seq = check(ax_refl(phi), SIG)
+    assert seq.ante is phi and seq.cons is phi
 
 
 def test_a_deep_chain_loads_from_a_dict_without_recursion():

@@ -28,6 +28,7 @@ from qrc1 import (
     ax_trans,
     check,
     check_adequacy,
+    conclusion,
     decide,
     dump_model,
     dump_proof,
@@ -67,31 +68,21 @@ def seq(text):
 
 def test_soundness_of_the_transitivity_axiom():
     models = islice(generate_models(SIG, GenBounds(4, 3), seed=100), 150)
-    assert soundness_check(ax_trans(P(Var(X))), models) is None
+    assert soundness_check(conclusion(ax_trans(P(Var(X)))), models) is None
 
 
 def test_soundness_of_reflexivity():
     models = islice(generate_models(SIG, GenBounds(4, 3), seed=101), 150)
-    assert soundness_check(ax_refl(And(P(Var(X)), TOP)), models) is None
+    assert soundness_check(conclusion(ax_refl(And(P(Var(X)), TOP))), models) is None
 
 
 def test_soundness_check_reports_genuine_failures():
-    # an intentionally unsound "conclusion" must be caught: use a raw
-    # Derivation whose conclusion would be P(x) ~> <> P(x); no rule gives
-    # that, so fake it with Refl's tree but compare manually instead
-    from qrc1 import Assignment
-    from qrc1.search import _sat
-
-    bad = Sequent(TOP, Diam(TOP))
-    models = list(islice(generate_models(SIG, GenBounds(2, 2), seed=7), 50))
-    hit = None
-    for m in models:
-        for w in range(m.frame.worlds):
-            g = Assignment(w, 0, {})
-            if _sat(m.raw, w, g, bad.ante) and not _sat(m.raw, w, g, bad.cons):
-                hit = (m, w)
-                break
-    assert hit is not None  # some generated model has a dead-end world
+    # no rule proves T ~> <> T; it fails exactly at a world with no successor
+    models = islice(generate_models(SIG, GenBounds(2, 2), seed=7), 50)
+    hit = soundness_check(seq("T ~> <> T"), models)
+    assert hit is not None
+    model, world, _ = hit
+    assert all(a != world for a, _ in model.frame.rel)
 
 
 # -- countermodel enumeration --------------------------------------------
@@ -500,9 +491,9 @@ def test_decide_returns_what_its_two_halves_return():
     assert seen == {Proved, Refuted, Exhausted}
 
 
-def test_decide_proves_without_waiting_for_a_fixed_enumeration_slice(monkeypatch):
-    # proved at depth 2 (Nec over AndEl): enumeration between depths 1 and 2
-    # lasts as long as depth 1 took, not a fixed count of 512 candidates
+def test_decide_never_enumerates_a_sequent_the_tree_clears(monkeypatch):
+    # proved at depth 2 (Nec over AndEl); the tree check clears the sequent,
+    # so no countermodel candidate is ever pulled
     from qrc1 import search
 
     real = search._candidates
@@ -517,7 +508,26 @@ def test_decide_proves_without_waiting_for_a_fixed_enumeration_slice(monkeypatch
     monkeypatch.setattr(search, "_candidates", counting)
     out = decide(seq("<> (P(x) & Q(x)) ~> <> P(x)"), SIG, SearchBounds())
     assert isinstance(out, Proved)
-    assert pulled < 512
+    assert pulled == 0
+
+
+def test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out():
+    # one proof depth gives the tree check one short turn, too short for its
+    # 365 valuations; run on to its verdict, it clears the sequent, where
+    # enumerating countermodels would run to the deadline
+    problem = ("pred R/1. R(a) & R(b) & R(c) & R(d) & R(e) & R(f) & R(g)"
+               " ~> (R(a) & R(b)) & (R(c) & R(d))")
+    sig, goal = parse_problem(problem)
+    out = decide(goal, sig, SearchBounds(max_proof_depth=1, deadline=2))
+    assert out == Exhausted(
+        "no proof within depth 1 and no countermodel within 4 world(s) and 3 element(s)")
+
+
+def test_proof_search_gives_up_at_its_deadline():
+    bounds = SearchBounds(max_proof_depth=10**6, deadline=0.2)
+    started = time.monotonic()
+    assert proof_search(seq("P(x) ~> <> P(x)"), SIG, bounds) is None
+    assert time.monotonic() - started < 2
 
 
 def _assert_candidates_agree(sig, goal, bounds):
