@@ -263,10 +263,15 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_soundness(args: argparse.Namespace) -> int:
     import random
 
+    setting = os.environ.get("QRC1_SEED", "0")
+    try:
+        seed = int(setting)
+    except ValueError:
+        print(f"qrc1: QRC1_SEED must be an integer, got {setting!r}", file=sys.stderr)
+        return EX_USAGE
     checked = calculus.check_proof(_read(args.proof))
     if checked.error is not None:
         return _rejected(args, checked)
-    seed = int(os.environ.get("QRC1_SEED", "0"))
     bounds = generate.GenBounds(max_worlds=args.max_worlds, max_domain=args.max_domain)
     models = islice(generate.generate_models(checked.sig, bounds, seed), args.models)
     hit = search.soundness_check(checked.sequent, models, args.samples, random.Random(seed))

@@ -410,6 +410,15 @@ def test_soundness_command_runs_clean(capsys, trans_proof, monkeypatch):
     assert "12345" in out
 
 
+@pytest.mark.parametrize("setting", ["abc", "", "1.5", "9" * 5000])
+def test_a_seed_setting_that_is_no_integer_is_a_usage_error(capsys, monkeypatch, setting):
+    # read before the proof file, which does not exist here
+    monkeypatch.setenv("QRC1_SEED", setting)
+    code, out, err = run(capsys, "soundness", "no-such-proof.qpf", "--json")
+    assert (code, out) == (64, "")
+    assert err.startswith("qrc1: QRC1_SEED must be an integer, got ")
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_soundness_reports_a_rejected_proof_as_check_does(capsys, tmp_path, flags):
     path = tmp_path / "bad.qpf"

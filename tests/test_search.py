@@ -45,6 +45,9 @@ from qrc1 import (
 from qrc1.generate import GenBounds, generate_models, random_formula
 from qrc1.search import (
     _Deadline,
+    _PRUNE_DOMAIN,
+    _PRUNE_VALUATIONS,
+    _ProofSearch,
     _axiom_leaf,
     _candidates,
     _no_countermodel,
@@ -579,7 +582,7 @@ def test_no_countermodel_agrees_with_the_reference_enumerator():
             cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             checked.append((sig, Sequent(ante, cons), bounds))
     for sig, goal, bounds in checked:
-        clear = _run(_no_countermodel(goal, bounds, None))
+        clear = _run(_no_countermodel(goal, bounds.max_domain, None))
         refuted = _reference_hit(sig, goal, bounds)
         assert not (clear and refuted), goal
         futile += clear
@@ -593,8 +596,8 @@ def test_no_countermodel_checks_every_domain_size():
     sig = signature([], {"P": 1})
     goal = parse_sequent("A x . <> P(x) ~> <> A x . P(x)", sig)
     one, two = SearchBounds(3, 1), SearchBounds(3, 2)
-    assert _run(_no_countermodel(goal, one, None)) and not _reference_hit(sig, goal, one)
-    assert not _run(_no_countermodel(goal, two, None)) and _reference_hit(sig, goal, two)
+    assert _run(_no_countermodel(goal, one.max_domain, None)) and not _reference_hit(sig, goal, one)
+    assert not _run(_no_countermodel(goal, two.max_domain, None)) and _reference_hit(sig, goal, two)
 
 
 def test_tree_verdict_is_monotone_in_the_domain_size():
@@ -610,7 +613,7 @@ def test_tree_verdict_is_monotone_in_the_domain_size():
         goals.append(Sequent(ante, cons))
     patterns = set()
     for goal in goals:
-        clear = [_run(_no_countermodel(goal, SearchBounds(max_domain=d), None)) for d in (1, 2, 3)]
+        clear = [_run(_no_countermodel(goal, d, None)) for d in (1, 2, 3)]
         assert clear == sorted(clear, reverse=True), goal
         patterns.add(tuple(clear))
     # the first goal is refuted from three elements on, the others change
@@ -621,7 +624,8 @@ def test_tree_verdict_is_monotone_in_the_domain_size():
 
 def test_tree_check_never_refutes_a_provable_sequent():
     # a refuting tree is an adequate model where the sequent fails, so by
-    # soundness no derivation exists; decide stops proof search on that
+    # soundness no derivation exists; decide stops proof search on that,
+    # and proof search skips a subgoal that the pruning check refutes
     battery = [parse_sequent(text, BATTERY_SIG) for text, _ in BATTERY]
     goals = [goal for goal in battery if proof_search(goal, BATTERY_SIG) is not None]
     rng = random.Random(8)
@@ -635,7 +639,8 @@ def test_tree_check_never_refutes_a_provable_sequent():
             proved += 1
     for goal in goals:
         for d in (1, 2, 3):
-            assert _run(_no_countermodel(goal, SearchBounds(max_domain=d), None)), (goal, d)
+            assert _run(_no_countermodel(goal, d, None)), (goal, d)
+        assert _run(_no_countermodel(goal, _PRUNE_DOMAIN, None, _PRUNE_VALUATIONS)), goal
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
@@ -668,3 +673,128 @@ def test_no_countermodels_for_axiom_schemes_on_small_formulas():
             goals.append(Sequent(And(phi, psi), psi))
     for goal in goals:
         assert enumerate_countermodels(SIG, goal, bounds) is None
+
+
+# -- pruning subgoals that a two-element tree refutes -----------------------
+
+
+class _Unpruned(_ProofSearch):
+    """The search without the pruning check: `dfs` as it was before it."""
+
+    def dfs(self, ante, cons, depth, path):
+        self.tick()
+        leaf = _axiom_leaf(ante, cons)
+        if leaf is not None:
+            return leaf
+        goal = (ante, cons)
+        if depth <= 1 or goal in path or self.memo.get(goal, 0) >= depth:
+            return None
+        path.add(goal)
+        try:
+            found = self._moves(ante, cons, depth, path)
+        finally:
+            path.discard(goal)
+        if found is None:
+            self.memo[goal] = depth
+        return found
+
+    def first_proof(self, goal, max_depth):
+        for depth in range(1, max_depth + 1):
+            found = self.dfs(goal.ante, goal.cons, depth, set())
+            if found is not None:
+                return found
+        return None
+
+
+def test_pruning_changes_no_proof(monkeypatch):
+    # by soundness a goal that a tree refutes has no derivation, so the
+    # search with the check finds the proofs of the search without it
+    from qrc1 import search
+
+    goals = [parse_sequent(text, BATTERY_SIG) for text, _ in BATTERY]
+    rng = random.Random(9)
+    for _ in range(200):
+        goals.append(Sequent(random_formula(rng, BATTERY_SIG, (0, 1), rng.randint(0, 3)),
+                             random_formula(rng, BATTERY_SIG, (0, 1), rng.randint(0, 2))))
+    real = search._ProofSearch.clears
+    asked, skipped = [], set()
+
+    def recording(self, ante, cons):
+        asked.append((self, Sequent(ante, cons)))
+        verdict = real(self, ante, cons)
+        if not verdict:
+            skipped.add(Sequent(ante, cons))
+        return verdict
+
+    def dumped(d):
+        return d and dump_proof(d, used_signature(BATTERY_SIG, d))
+
+    monkeypatch.setattr(search._ProofSearch, "clears", recording)
+    for goal in goals:
+        unpruned = _Unpruned(goal, BATTERY_SIG, None).first_proof(goal, 4)
+        assert dumped(proof_search(goal, BATTERY_SIG, SearchBounds(max_proof_depth=4))) == \
+            dumped(unpruned), goal
+    # each search checks a goal once, and some skip many
+    assert len({(id(state), goal) for state, goal in asked}) == len(asked)
+    assert len(skipped) > 500
+    for goal in skipped:
+        assert _Unpruned(goal, BATTERY_SIG, None).first_proof(goal, 4) is None, goal
+
+
+def test_pruning_builds_one_tree_per_name_apart(monkeypatch):
+    # all names on one element, then each name alone on the other: k + 1
+    # distinct partitions, where every two-element valuation is 2^(k-1)
+    from qrc1 import search
+
+    built = []
+
+    def recording(k, d):
+        for labels in _PRUNE_VALUATIONS(k, d):
+            built.append(tuple(labels))
+            yield labels
+
+    monkeypatch.setattr(search, "_PRUNE_VALUATIONS", recording)
+    for k in range(3, 9):
+        names = "abcdefgh"[:k]
+        conj = " & ".join(f"R({v})" for v in names)
+        sig, goal = parse_problem(f"pred R/1. {conj} ~> R(a)")
+        built.clear()
+        assert search._ProofSearch(goal, sig, None).clears(goal.ante, goal.cons)
+        assert len(built) == len(set(built)) == k + 1
+        assert all(labels[0] == 0 and set(labels) <= {0, 1} for labels in built)
+
+
+def test_pruning_leaves_a_goal_with_many_names_provable():
+    # each subgoal has 12 names: the check builds 13 trees for it, where
+    # every two-element valuation would be 2048 and run past the deadline
+    conj = " & ".join(f"R({v})" for v in "abcdefghijkl")
+    sig, goal = parse_problem(f"pred R/1. {conj} ~> R(a) & R(b)")
+    assert isinstance(decide(goal, sig, SearchBounds(deadline=2.0)), Proved)
+
+
+def test_pruning_returns_at_the_deadline():
+    # the subgoal's two-element tree has 2^20 leaves, seconds of work, at
+    # one element 20; the check polls the search's own deadline
+    names = "abcdefghijklmnopqrst"
+    ante = "".join(f"A {v} . " for v in names) + "P(a)"
+    sig, goal = parse_problem(f"pred P/1. pred Q/1. {ante} ~> Q(y) & Q(y)")
+    out, took = _elapsed(proof_search, goal, sig, SearchBounds(deadline=0.3))
+    assert out is None
+    assert took < 0.3 + DEADLINE_SLACK
+
+
+@pytest.mark.parametrize("problem, nodes, pruned", [
+    # decide-valid seed 1 item 167, proved at depth 5
+    ("const c. pred P/1. pred Q/1. pred S/2. A x . (P(y) & S(c, x)) & (S(y, x) & (P(x) & P(y)))"
+     " ~> S(c, y) & (S(c, y) & (S(c, y) & (A x . S(c, y) & T)))", 4252, 42),
+    # decide-valid seed 1 item 811, proved at depth 7
+    ("const c. pred P/1. pred Q/1. pred S/2. A x . A y . S(y, x)"
+     " ~> A y . S(y, x) & T & A y . S(y, x) & (S(c, c) & A x . S(x, c) & A x . A y . S(y, x))",
+     4124, 113),
+])
+def test_pruning_cuts_the_search_to_a_pinned_size(problem, nodes, pruned):
+    # search is deterministic; without pruning these take 6913 and 26581 nodes
+    sig, goal = parse_problem(problem)
+    state = _ProofSearch(goal, sig, None)
+    assert any(state.dfs(goal.ante, goal.cons, depth, set()) for depth in range(1, 9))
+    assert (state.nodes, state.pruned) == (nodes, pruned)
