@@ -307,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     except RecursionError:
         print("qrc1: nesting too deep: input exceeds the recursion limit", file=sys.stderr)
         return EX_DATA
+    except MemoryError:  # formatting the error could need memory too
+        print("qrc1: out of memory", file=sys.stderr)
+        return EX_INTERNAL
     except Exception as e:  # any other escape would exit 1, a verdict
         print(f"qrc1: internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return EX_INTERNAL

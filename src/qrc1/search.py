@@ -1,5 +1,5 @@
 """Bounded proof search, exhaustive countermodel search, and the
-interleaved decision procedure.
+decision procedure that runs them in order.
 
 Countermodels are sought in the class that suffices for refutation:
 constant domain, identity compatibility functions, and an irreflexive
@@ -51,7 +51,7 @@ The check yields no certificate, but its verdict settles which half
 of the search can succeed.  A tree that clears the sequent lets
 `decide` and `refute` skip enumeration.  A tree that refutes it is an
 adequate model where the sequent fails, so by soundness no derivation
-exists, and `decide` stops proof search there.
+exists, and `decide` skips proof search.
 
 Proof search uses the same argument on the goals it meets: a goal that
 a tree refutes has no derivation, so search never expands it and finds
@@ -63,8 +63,8 @@ one name apart (`_one_apart`): k + 1 trees for k names, where every
 two-element valuation would be 2^(k-1).  One element refutes far fewer
 goals, three barely more than two, and nearly every goal that two
 elements refute falls at one of these valuations (measured at
-`_PRUNE_DOMAIN`).  The root is left to `decide`, whose own check at
-`max_domain` settles it.
+`_PRUNE_DOMAIN`).  The root is left to `decide`, which checks it
+itself.
 
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
@@ -73,10 +73,14 @@ variables, and constants for the constant-elimination move from the
 names ``k0``, ``k1``, ... that the signature does not declare.  Whatever
 it returns is re-checked by the kernel.
 
-Proof search and the tree check are resumable streams, `_proofs` and
-`_no_countermodel`; `_run` pulls one to its end or to a pause, and
-`decide` takes turns between the two until the tree has its verdict.
-Enumeration, `_refutation`, runs to its first hit.
+`decide` runs four steps in order, each to its end.  It checks the root
+with the pruning check's trees, at no more than `max_domain` elements.
+If they clear it, proof search runs, and if that finds no proof, the
+tree check at `max_domain`.  A root that either check refutes goes to
+enumeration, `_refutation`, which runs to its first hit: a two-element
+refutation gives one with `max_domain` elements, by the copying
+argument above, and no derivation, by soundness.  `refute` takes the
+same two checks, without proof search between them.
 """
 
 from __future__ import annotations
@@ -137,7 +141,7 @@ from .semantics import (
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     import random
-    from typing import Any, Callable, Generator, Iterable, Iterator
+    from typing import Callable, Iterable, Iterator
 
 
 class SearchBounds(_Value):
@@ -379,13 +383,30 @@ _BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags to binary digits
 
 
 def _one_apart(k: int, d: int) -> Iterator[list[int]]:
-    """The valuations of k names in two of the d >= 2 elements that set
-    at most one name apart: all names equal, then each name alone, as
-    restricted growth strings without repeats: k + 1 of them for k >= 3,
-    where for k <= 2 setting the first name apart repeats another."""
+    """The valuations of k names in at most two of the d elements that
+    set at most one name apart: all names equal, then, when d >= 2, each
+    name alone, as restricted growth strings without repeats: k + 1 of
+    them for k >= 3, where for k <= 2 setting the first name apart
+    repeats another."""
     yield [0] * k
-    for i in range(0 if k > 2 else 1, k):
-        yield [int((j == i) != (i == 0)) for j in range(k)]
+    if d > 1:
+        for i in range(0 if k > 2 else 1, k):
+            yield [int((j == i) != (i == 0)) for j in range(k)]
+
+
+# The pruning check, of `_ProofSearch` on goals below the root and of
+# `decide` and `refute` on the root: the antecedent's trees at two
+# elements, under the valuations that set at most one name apart.  Neither
+# is a setting.  On the first 3000 sequents of the benchmark's decide-valid
+# inputs (seed 1), pruning with every valuation left 516k search nodes at
+# one element, 362k at two and 358k at three, and three elements walk every
+# partition of the names into three blocks (41 valuations for 5 names,
+# against 16 at two).  Of the goals that some two-element valuation
+# refutes, 99.8% fall at one of these k + 1 for k names.  All 2^(k-1) of
+# them cost more than the search they save on goals with many names: a
+# 12-name sequent went from proved in 0.3 s to past a 2 s deadline.
+_PRUNE_DOMAIN = 2
+_PRUNE_VALUATIONS = _one_apart
 
 
 def _no_countermodel(
@@ -393,16 +414,16 @@ def _no_countermodel(
     size: int,
     stop_at: float | None,
     valuations: Callable[[int, int], Iterable[list[int]]] = _labellings,
-) -> Generator[None, None, bool]:
-    """Yields None every 64 tree nodes, then returns True when the
-    consequent holds at the root of the antecedent's tree with `size`
-    elements under each valuation that `valuations(k, size)` gives the
-    sequent's k names, or False at the first valuation whose tree
-    refutes the sequent.  Under every valuation up to relabelling (the
-    default, `_labellings`), True shows that no countermodel has at most
-    `size` elements (see the module docstring).  Raises
-    `_Deadline` once the clock passes `stop_at`, read where it yields,
-    after each valuation and before each diamond of the consequent.
+) -> bool:
+    """True when the consequent holds at the root of the antecedent's
+    tree with `size` elements under each valuation that
+    `valuations(k, size)` gives the sequent's k names, or False at the
+    first valuation whose tree refutes the sequent.  Under every
+    valuation up to relabelling (the default, `_labellings`), True shows
+    that no countermodel has at most `size` elements (see the module
+    docstring).  Raises `_Deadline` once the clock passes `stop_at`,
+    read every 64 tree nodes, after each valuation and before each
+    diamond of the consequent.
 
     A tree's worlds are numbered in creation order from the root 0, and
     `parent[u]` is the world whose diamond made u (-1 for the root), so
@@ -458,10 +479,8 @@ def _no_countermodel(
         todo: list[tuple[Formula, int, dict]] = [(seq.ante, 0, env)]
         while todo:
             steps += 1
-            if steps % 64 == 0:
-                if stop_at is not None and time.monotonic() > stop_at:
-                    raise _Deadline
-                yield None
+            if steps % 64 == 0 and stop_at is not None and time.monotonic() > stop_at:
+                raise _Deadline
             phi, w, local = todo.pop()
             kind = type(phi)
             if kind is Pred:
@@ -511,17 +530,13 @@ def _refutation(
     return Refuted(model, w, g)
 
 
-def _run(steps: Generator[None, None, Any], pause_at: float | None = None) -> Any:
-    """Pull a stream to its end and return its value, or (with
-    `pause_at`) until the clock passes it, after at least one step, and
-    return None then.  A stream that has ended returns None at once."""
-    try:
-        while True:
-            next(steps)
-            if pause_at is not None and time.monotonic() > pause_at:
-                return None
-    except StopIteration as done:
-        return done.value
+def _root_clears(seq: Sequent, bounds: SearchBounds, stop_at: float | None) -> bool:
+    """The pruning check on the whole sequent, at no more than
+    `bounds.max_domain` elements.  False shows a countermodel within
+    that many elements, since refutability only grows with the domain
+    size."""
+    return _no_countermodel(
+        seq, min(_PRUNE_DOMAIN, bounds.max_domain), stop_at, _PRUNE_VALUATIONS)
 
 
 def _too_few_worlds(bounds: SearchBounds) -> Exhausted:
@@ -539,11 +554,14 @@ def refute(
     """The first constant-domain irreflexive countermodel in enumeration
     order, or Exhausted, saying what ended the search: the deadline, a
     tree showing that no countermodel has at most `bounds.max_domain`
-    elements (then enumeration is skipped), or, when the tree refutes the
-    sequent, a world bound too small for any countermodel."""
+    elements (then enumeration is skipped), or, when a tree refutes the
+    sequent, a world bound too small for any countermodel.  The trees of
+    `_root_clears` come first, and a sequent that they refute skips the
+    check at `max_domain`."""
     stop_at = _stop_at(bounds)
     try:
-        if _run(_no_countermodel(seq, bounds.max_domain, stop_at)):
+        if _root_clears(seq, bounds, stop_at) and _no_countermodel(
+                seq, bounds.max_domain, stop_at):
             return Exhausted("no countermodel within bounds")
         found = _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
@@ -561,20 +579,6 @@ def enumerate_countermodels(
 
 
 # -- backward proof search ---------------------------------------------
-
-
-# The pruning check of `_ProofSearch`: the antecedent's trees at two
-# elements, under the valuations that set at most one name apart.  Neither
-# is a setting.  On the first 3000 sequents of the benchmark's decide-valid
-# inputs (seed 1), pruning with every valuation left 516k search nodes at
-# one element, 362k at two and 358k at three, and three elements walk every
-# partition of the names into three blocks (41 valuations for 5 names,
-# against 16 at two).  Of the goals that some two-element valuation
-# refutes, 99.8% fall at one of these k + 1 for k names.  All 2^(k-1) of
-# them cost more than the search they save on goals with many names: a
-# 12-name sequent went from proved in 0.3 s to past a 2 s deadline.
-_PRUNE_DOMAIN = 2
-_PRUNE_VALUATIONS = _one_apart
 
 
 class _ProofSearch:
@@ -636,8 +640,8 @@ class _ProofSearch:
 
     def clears(self, ante: Formula, cons: Formula) -> bool:
         """False when a tree of the pruning check refutes the goal."""
-        return _run(_no_countermodel(
-            Sequent(ante, cons), _PRUNE_DOMAIN, self.stop_at, _PRUNE_VALUATIONS))
+        return _no_countermodel(
+            Sequent(ante, cons), _PRUNE_DOMAIN, self.stop_at, _PRUNE_VALUATIONS)
 
     def _moves(self, ante: Formula, cons: Formula, depth: int, path: set) -> Derivation | None:
         if isinstance(cons, And):
@@ -738,15 +742,15 @@ def _fresh_var(ante: Formula, cons: Formula) -> int:
 
 def _proofs(
     seq: Sequent, sig: Signature, bounds: SearchBounds, stop_at: float | None
-) -> Generator[None, None, Derivation | None]:
-    """The proof half as a stream: iterative deepening, one depth per
-    step.  Returns the first derivation found, re-checked, or None."""
+) -> Derivation | None:
+    """Iterative deepening: the first derivation found, re-checked, or
+    None.  Raises `_Deadline` once the clock passes `stop_at`."""
     state = _ProofSearch(seq, sig, stop_at)
     for depth in range(1, bounds.max_proof_depth + 1):
         d = state.dfs(seq.ante, seq.cons, depth, set())
         if d is not None:
             return _rechecked(d, seq, sig)
-        yield None
+    return None
 
 
 def proof_search(
@@ -755,7 +759,7 @@ def proof_search(
     """Iterative-deepening backward search; any result re-checks to the
     goal sequent (under the signature extended with reserved constants)."""
     try:
-        return _run(_proofs(seq, sig, bounds, _stop_at(bounds)))
+        return _proofs(seq, sig, bounds, _stop_at(bounds))
     except _Deadline:
         return None
 
@@ -774,40 +778,29 @@ def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
 def decide(
     seq: Sequent, sig: Signature, bounds: SearchBounds = SearchBounds()
 ) -> SearchOutcome:
-    """Take turns between proof search and the antecedent's tree check in
-    equal time, then let the tree's verdict choose the half that goes on.
+    """Run four steps in order, each to its end: the pruning check's
+    trees on the root (`_root_clears`), proof search, the tree check at
+    `max_domain`, and enumeration.
 
-    Each turn runs one proof depth, then the tree check for as long as
-    that depth took, at least one step, so neither waits on the other
-    for more than twice the time it spends itself.  A tree that clears
-    the sequent leaves the remaining depths to run alone.  A tree that
-    refutes it is an adequate model where the sequent fails, so by
-    soundness no derivation exists: proof search stops, and enumeration
-    runs alone, since the tree may need more worlds than the bounds
-    allow; if it finds nothing, Exhausted says so.  Both certificates are
-    re-verified.
+    A root that the first check clears goes to proof search.  If that
+    finds no proof, a tree check at `max_domain` that clears the sequent
+    shows that the bounds hold no countermodel either.  A tree that
+    refutes it, in either check, is an adequate model where the sequent
+    fails, so by soundness no derivation exists: enumeration runs, and
+    since the tree may need more worlds than the bounds allow, Exhausted
+    says so if it finds nothing.  Both certificates are re-verified.
     """
     stop_at = _stop_at(bounds)
-    proofs = _proofs(seq, sig, bounds, stop_at)
-    tree = _no_countermodel(seq, bounds.max_domain, stop_at)
-    cleared = None  # the tree's verdict, once it has one
     try:
-        for _ in range(bounds.max_proof_depth):
-            started = time.monotonic()
-            d = _run(proofs, started)  # pauses after one step: one depth
+        if _root_clears(seq, bounds, stop_at):
+            d = _proofs(seq, sig, bounds, stop_at)
             if d is not None:
                 return Proved(d)
-            if cleared is None:
-                cleared = _run(tree, 2 * time.monotonic() - started)
-            if cleared is False:
-                break
-        if cleared is None:
-            cleared = _run(tree)
-        if cleared:
-            return Exhausted(
-                f"no proof within depth {bounds.max_proof_depth} and no countermodel "
-                f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
-            )
+            if _no_countermodel(seq, bounds.max_domain, stop_at):
+                return Exhausted(
+                    f"no proof within depth {bounds.max_proof_depth} and no countermodel "
+                    f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
+                )
         refuted = _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
         return Exhausted("deadline reached")

@@ -508,6 +508,18 @@ def test_unexpected_exception_exits_70_not_1(capsys, monkeypatch):
     assert err == "qrc1: internal error: RuntimeError: wired for the test\n"
 
 
+def test_running_out_of_memory_exits_70_with_a_fixed_message(capsys, monkeypatch):
+    import qrc1.cli as cli
+
+    def boom(args):
+        raise MemoryError("x" * 100)
+
+    monkeypatch.setitem(cli._COMMANDS, "decide", boom)
+    code, out, err = run(capsys, "decide", "T ~> T", "--json")
+    assert (code, out) == (70, "")
+    assert err == "qrc1: out of memory\n"
+
+
 @pytest.mark.parametrize("flags", [(), ("--json",)])
 def test_a_search_proof_the_kernel_rejects_exits_70_not_1(capsys, monkeypatch, flags):
     from qrc1 import and_intro, ax_refl, ax_top

@@ -10,15 +10,19 @@ from itertools import islice
 
 import pytest
 
-from conftest import BATTERY, BATTERY_SIG, MANY_VARIABLES, candidates_reference
+from conftest import BATTERY, BATTERY_SIG, MANY_VARIABLES, candidates_reference, identity_eta
 
 import qrc1
 from qrc1 import (
     And,
+    Assignment,
     Diam,
     Exhausted,
+    InternalError,
     Pred,
     Proved,
+    RawFrame,
+    RawModel,
     Refuted,
     SearchBounds,
     Sequent,
@@ -41,6 +45,7 @@ from qrc1 import (
     signature,
     soundness_check,
     used_signature,
+    validate_model,
 )
 from qrc1.generate import GenBounds, generate_models, random_formula
 from qrc1.search import (
@@ -51,7 +56,8 @@ from qrc1.search import (
     _axiom_leaf,
     _candidates,
     _no_countermodel,
-    _run,
+    _one_apart,
+    _verify_refutation,
 )
 
 SIG = signature(["c"], {"P": 1, "Q": 1})
@@ -131,6 +137,31 @@ def test_countermodels_are_within_the_required_class():
         assert all(row == ident for block in model.frame.eta for row in block)
         s = seq(text)
         assert sat(model, world, g, s.ante) and not sat(model, world, g, s.cons)
+
+
+@pytest.mark.parametrize("frame, p_holds, why", [
+    # a reflexive edge
+    (RawFrame(1, frozenset({(0, 0)}), (1,), identity_eta((1,))), False, "not irreflexive"),
+    # domains of one and two elements
+    (RawFrame(2, frozenset(), (1, 2), (((0,), (0,)), ((0, 0), (0, 1)))), False,
+     "not constant domain"),
+    # an edge whose eta row swaps the two elements
+    (RawFrame(2, frozenset({(0, 1)}), (2, 2), (((0, 1), (1, 0)), ((0, 1), (0, 1)))), False,
+     "eta is not the identity"),
+    # P(x) holds at the world, so the consequent does too
+    (RawFrame(1, frozenset(), (1,), identity_eta((1,))), True, "does not refute"),
+], ids=["reflexive-edge", "unequal-domains", "swapped-eta-row", "consequent-holds"])
+def test_verify_refutation_rejects_a_bad_witness(frame, p_holds, why):
+    # each witness is adequate and has this one defect alone, so only the
+    # check that names it can reject it
+    sig = signature([], {"P": 1})
+    goal = parse_sequent("T ~> P(x)", sig)
+    preds = [{"P": frozenset()} for _ in range(frame.worlds)]
+    if p_holds:
+        preds[0]["P"] = frozenset({(0,)})
+    model = validate_model(RawModel(sig, frame, ({},) * frame.worlds, tuple(preds)))
+    with pytest.raises(InternalError, match=why):
+        _verify_refutation(model, 0, Assignment(0, 0), goal)
 
 
 def test_side_conditions_guard_real_unsoundness():
@@ -303,14 +334,16 @@ def test_deadline_is_read_between_the_valuations_of_a_candidate():
     # has 2**17 valuations
     start = time.monotonic()
     with pytest.raises(_Deadline):
-        _run(_candidates(sig, goal, bounds, start + 0.3))
+        for _ in _candidates(sig, goal, bounds, start + 0.3):
+            pass
     assert time.monotonic() - start < 0.3 + DEADLINE_SLACK
 
 
-def test_tree_check_takes_turns_with_proof_search():
+def test_decide_proves_a_sequent_with_many_names_before_the_full_tree_check():
     # provable at depth 2 (AndI over two Refl), and with 12 names the tree
-    # check walks ~90k valuations, seconds of work on a valid sequent: it
-    # gets no more time than proof search's depth 1 took before depth 2 runs
+    # check at three elements walks ~90k valuations, seconds of work on a
+    # valid sequent: the root's two-element check builds 13 trees, and proof
+    # search then proves it, so the full check never runs
     conj = " & ".join(f"R({v})" for v in "abcdefghijkl")
     sig, goal = parse_problem(f"pred R/1. {conj} ~> ({conj}) & ({conj})")
     out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.3))
@@ -352,6 +385,32 @@ def test_large_bounds_cost_nothing_up_front():
         assert took < 0.2 + DEADLINE_SLACK, text
         assert peak < 4 << 20, text
     assert out == Exhausted("deadline reached")
+
+
+def test_a_huge_domain_bound_costs_nothing_on_a_sequent_proved_first():
+    # valid by AllIl; the root's two-element check clears it and proof
+    # search proves it, so no tree with max_domain elements is built
+    sig, goal = parse_problem("pred P/1. A x . P(x) ~> P(c)")
+    tracemalloc.start()
+    try:
+        out, took = _elapsed(decide, goal, sig, SearchBounds(max_domain=10**9, deadline=0.25))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert isinstance(out, Proved)
+    assert took < 0.25 + DEADLINE_SLACK
+    assert peak < 4 << 20
+
+
+def test_decide_proves_a_long_quantifier_prefix_past_the_root_check():
+    # proved at depth 1 (Top), but the root's two-element check first builds
+    # the antecedent's tree, 2^12 leaves here; 16 quantifiers take ~0.25 s and
+    # 20 reach a 1 s deadline (see README)
+    prefix = "".join(f"A a{i} . " for i in range(12))
+    sig, goal = parse_problem(f"pred P/1. {prefix}P(a0) ~> T")
+    out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.25))
+    assert isinstance(out, Proved)
+    assert took < 0.25
 
 
 def test_decide_output_does_not_depend_on_the_hash_seed():
@@ -457,7 +516,7 @@ def test_decide_battery_of_valid_and_invalid_sequents():
 
 
 def test_decide_returns_what_its_two_halves_return():
-    # without a deadline the interleaving changes no certificate: Proved is
+    # without a deadline the order of the steps changes no certificate: Proved is
     # proof_search's derivation and Refuted the enumeration's first hit
     bounds = SearchBounds(max_worlds=2, max_domain=2, max_proof_depth=4)
     goals = [(BATTERY_SIG, parse_sequent(text, BATTERY_SIG)) for text, _ in BATTERY]
@@ -515,8 +574,8 @@ def test_decide_never_enumerates_a_sequent_the_tree_clears(monkeypatch):
 
 
 def test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out():
-    # one proof depth gives the tree check one short turn, too short for its
-    # 365 valuations; run on to its verdict, it clears the sequent, where
+    # one proof depth finds no proof; the tree check at three elements then
+    # runs through its 365 valuations and clears the sequent, where
     # enumerating countermodels would run to the deadline
     problem = ("pred R/1. R(a) & R(b) & R(c) & R(d) & R(e) & R(f) & R(g)"
                " ~> (R(a) & R(b)) & (R(c) & R(d))")
@@ -582,7 +641,7 @@ def test_no_countermodel_agrees_with_the_reference_enumerator():
             cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             checked.append((sig, Sequent(ante, cons), bounds))
     for sig, goal, bounds in checked:
-        clear = _run(_no_countermodel(goal, bounds.max_domain, None))
+        clear = _no_countermodel(goal, bounds.max_domain, None)
         refuted = _reference_hit(sig, goal, bounds)
         assert not (clear and refuted), goal
         futile += clear
@@ -596,8 +655,8 @@ def test_no_countermodel_checks_every_domain_size():
     sig = signature([], {"P": 1})
     goal = parse_sequent("A x . <> P(x) ~> <> A x . P(x)", sig)
     one, two = SearchBounds(3, 1), SearchBounds(3, 2)
-    assert _run(_no_countermodel(goal, one.max_domain, None)) and not _reference_hit(sig, goal, one)
-    assert not _run(_no_countermodel(goal, two.max_domain, None)) and _reference_hit(sig, goal, two)
+    assert _no_countermodel(goal, one.max_domain, None) and not _reference_hit(sig, goal, one)
+    assert not _no_countermodel(goal, two.max_domain, None) and _reference_hit(sig, goal, two)
 
 
 def test_tree_verdict_is_monotone_in_the_domain_size():
@@ -613,7 +672,7 @@ def test_tree_verdict_is_monotone_in_the_domain_size():
         goals.append(Sequent(ante, cons))
     patterns = set()
     for goal in goals:
-        clear = [_run(_no_countermodel(goal, d, None)) for d in (1, 2, 3)]
+        clear = [_no_countermodel(goal, d, None) for d in (1, 2, 3)]
         assert clear == sorted(clear, reverse=True), goal
         patterns.add(tuple(clear))
     # the first goal is refuted from three elements on, the others change
@@ -624,7 +683,7 @@ def test_tree_verdict_is_monotone_in_the_domain_size():
 
 def test_tree_check_never_refutes_a_provable_sequent():
     # a refuting tree is an adequate model where the sequent fails, so by
-    # soundness no derivation exists; decide stops proof search on that,
+    # soundness no derivation exists; decide skips proof search on that,
     # and proof search skips a subgoal that the pruning check refutes
     battery = [parse_sequent(text, BATTERY_SIG) for text, _ in BATTERY]
     goals = [goal for goal in battery if proof_search(goal, BATTERY_SIG) is not None]
@@ -639,8 +698,8 @@ def test_tree_check_never_refutes_a_provable_sequent():
             proved += 1
     for goal in goals:
         for d in (1, 2, 3):
-            assert _run(_no_countermodel(goal, d, None)), (goal, d)
-        assert _run(_no_countermodel(goal, _PRUNE_DOMAIN, None, _PRUNE_VALUATIONS)), goal
+            assert _no_countermodel(goal, d, None), (goal, d)
+        assert _no_countermodel(goal, _PRUNE_DOMAIN, None, _PRUNE_VALUATIONS), goal
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
@@ -762,6 +821,16 @@ def test_pruning_builds_one_tree_per_name_apart(monkeypatch):
         assert search._ProofSearch(goal, sig, None).clears(goal.ante, goal.cons)
         assert len(built) == len(set(built)) == k + 1
         assert all(labels[0] == 0 and set(labels) <= {0, 1} for labels in built)
+
+
+def test_one_apart_keeps_to_the_element_of_a_one_element_domain():
+    # a one-element tree's quantifiers range over element 0 alone, so a
+    # name labelled 1 would be no element: the root check at max_domain 1
+    # would then refute this valid sequent (AllIl twice)
+    for k in range(6):
+        assert [list(labels) for labels in _one_apart(k, 1)] == [[0] * k]
+    sig, goal = parse_problem("pred P/1. A x . P(x) ~> P(a) & P(b)")
+    assert isinstance(decide(goal, sig, SearchBounds(max_domain=1)), Proved)
 
 
 def test_pruning_leaves_a_goal_with_many_names_provable():
