@@ -8,10 +8,14 @@ increasing (world count, domain size), then relation bitmask, then
 constant values, then predicate-table bitmasks with the rightmost slot
 varying fastest, so any witness found is a reproducible golden output.
 In this class a valuation of the variables is the same at every world,
-so each candidate is checked on world bitmasks: a formula denotes the
-set of worlds where it holds, conjunction is bitwise and, a diamond is a
-lookup in a per-frame table, and a quantifier ands its body's sets over
-the domain.  That check is as untrusted as the rest of search: a hit is
+so one evaluator, `_evaluator`, checks candidates and the trees below
+alike on world bitmasks: a formula denotes the set of worlds where it
+holds, conjunction is bitwise and, a diamond gives the worlds with a
+successor in its body's set, and a quantifier ands its body's sets over
+the domain.  The evaluator reads the clock at a quantifier's first
+element and every 64th; enumeration also reads it before every
+valuation, and the tree check every 64 tree nodes and at each diamond.
+A candidate's check is as untrusted as the rest of search: a hit is
 built as a `RawModel`, validated, and re-verified with `sat`.
 
 Before enumerating, `_no_countermodel` may show that no model of the
@@ -37,6 +41,10 @@ its world count.  The argument:
   M, so each edge of the closure lands on a path, which is an edge by
   transitivity, and each asserted atom holds in M where it lands.  So
   the consequent, false at w, is false at the tree's root.
+- A quantifier whose variable is not free in its body would make d
+  copies of one subtree; the tree makes one.  Folding the copies onto it
+  and including it among them are both maps as in the first point, so
+  the verdict is the same.
 - Copying an element e (adding e' with the atoms of e, read as e)
   preserves every formula, by induction, a quantifier ranging over e in
   place of e'.  So a countermodel with d elements gives one with d + 1
@@ -87,6 +95,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import defaultdict
 from itertools import chain, count, islice, product
 
 from .calculus import (
@@ -246,6 +255,44 @@ def _frames(n: int, keep: list) -> Iterator[tuple[frozenset[tuple[int, int]], li
             yield rel, diam
 
 
+def _evaluator(size: int, full: int, tables: dict, consts: dict,
+               diamond: Callable[[int], int] | None,
+               stop_at: float | None) -> Callable[[Formula, dict], int]:
+    """`holds(phi, env)`: the worlds of `full` where phi holds under `env`,
+    with `size` elements, ``tables[name][i]`` the worlds where the i-th
+    tuple in `product` order is in `name`, ``consts[c]`` the value of
+    constant c, and `diamond(bits)` the worlds with a successor in `bits`
+    (None if no world has one: a diamond's body then goes unevaluated).
+    Raises `_Deadline` once the clock passes `stop_at`, read before a
+    quantifier's first element and every 64th."""
+
+    def holds(phi: Formula, env: dict[int, int]) -> int:
+        kind = type(phi)
+        if kind is Pred:
+            i = 0
+            for a in phi.args:
+                i = i * size + (env[a.id] if type(a) is Var else consts[a.name])
+            return tables[phi.name][i]
+        # each case stops as soon as no world can be left in the set
+        if kind is And:
+            bits = holds(phi.left, env)
+            return bits and bits & holds(phi.right, env)
+        if kind is Diam:
+            return diamond(holds(phi.body, env)) if diamond else 0
+        if kind is All:
+            bits = full
+            for e in range(size):
+                if not e & 63 and stop_at is not None and time.monotonic() > stop_at:
+                    raise _Deadline
+                bits &= holds(phi.body, {**env, phi.var: e})
+                if not bits:
+                    break
+            return bits
+        return full  # Top
+
+    return holds
+
+
 def _candidates(
     sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None = None
 ) -> Iterator[tuple[RawModel, int, Assignment] | None]:
@@ -254,11 +301,9 @@ def _candidates(
     variables in `product` order (default element 0), where the
     antecedent holds and the consequent fails.  Raises `_Deadline` once
     the clock passes `stop_at`, read before every valuation, since one
-    candidate has `size ** len(variables)` of them.
+    candidate has `size ** len(variables)` of them, and by `_evaluator`.
 
-    A candidate has a constant domain and identity eta, so a valuation is
-    the same at every world, and a formula under it denotes the set of
-    worlds where it holds: `holds` computes that set as a bitmask.  The
+    `_evaluator` checks a valuation with the frame's diamond table.  The
     predicate tables of a candidate are read off one counter, and a
     `RawModel` is built only for a hit.
     """
@@ -270,29 +315,6 @@ def _candidates(
     other_preds = [p for p in sig.predicates if p not in pred_names]
     other_consts = [c for c in sig.constants if c not in const_names]
     variables = sorted(fv(seq.ante) | fv(seq.cons))
-
-    # reads the current candidate's size, full, diam, cmap and tables
-    def holds(phi: Formula, env: dict[int, int]) -> int:
-        kind = type(phi)
-        if kind is Pred:
-            i = 0  # the index of the argument tuple in `product` order
-            for a in phi.args:
-                i = i * size + (env[a.id] if type(a) is Var else cmap[a.name])
-            return tables[phi.name][i]
-        # each case stops as soon as no world can be left in the set
-        if kind is And:
-            bits = holds(phi.left, env)
-            return bits and bits & holds(phi.right, env)
-        if kind is Diam:
-            return diam[full] and diam[holds(phi.body, env)]
-        if kind is All:
-            bits = full
-            for d in range(size):
-                bits &= holds(phi.body, {**env, phi.var: d})
-                if not bits:
-                    break
-            return bits
-        return full  # Top
 
     for n in range(1, bounds.max_worlds + 1):
         full = (1 << n) - 1
@@ -324,6 +346,8 @@ def _candidates(
                 for cvals in product(range(size), repeat=len(const_names)):
                     cmap = dict(zip(const_names, cvals))
                     cmap.update({c: 0 for c in other_consts})
+                    holds = _evaluator(
+                        size, full, tables, cmap, diam.__getitem__ if rel else None, stop_at)
                     for counter in range(1 << len(owner)):
                         # counting up flips a run of low bits
                         for row, i, bit in owner[:(counter ^ last).bit_length()]:
@@ -409,6 +433,24 @@ _PRUNE_DOMAIN = 2
 _PRUNE_VALUATIONS = _one_apart
 
 
+class _Asserted(dict):
+    """One predicate's atoms in a tree: the worlds asserting each tuple,
+    listed under its index in `product` order, and read as a bitmask
+    built anew each time (one bitmask kept per atom would take memory
+    quadratic in the tree)."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i: int) -> int:
+        worlds = self.get(i)
+        if worlds is None:
+            return 0
+        marks = bytearray(max(worlds) + 1)
+        for w in worlds:
+            marks[w] = 1
+        return int(marks[::-1].translate(_BITS), 2)
+
+
 def _no_countermodel(
     seq: Sequent,
     size: int,
@@ -422,80 +464,71 @@ def _no_countermodel(
     valuation up to relabelling (the default, `_labellings`), True shows
     that no countermodel has at most `size` elements (see the module
     docstring).  Raises `_Deadline` once the clock passes `stop_at`,
-    read every 64 tree nodes, after each valuation and before each
-    diamond of the consequent.
+    read every 64 tree nodes, after each valuation, before each diamond
+    of the consequent and by `_evaluator`.
 
     A tree's worlds are numbered in creation order from the root 0, and
-    `parent[u]` is the world whose diamond made u (-1 for the root), so
-    a tree of W worlds takes O(W) memory.  Variables and constants share
-    one valuation dict, keyed by variable id and by constant name.
+    `parent[u]` is the world whose diamond made u (-1 for the root): its
+    diamond marks ancestors.  With each atom kept once (`_Asserted`) and
+    one pending element per open quantifier, a tree takes memory linear
+    in its worlds and atoms, and none up front for a large `size`.
+    Variables and constants share one valuation dict, keyed by variable
+    id and by constant name.
     """
     names: list[int | str] = [
         *sorted(fv(seq.ante) | fv(seq.cons)),
         *sorted(consts_of(seq.ante) | consts_of(seq.cons)),
     ]
 
-    # the worlds where phi holds; reads the current size, atoms, parent
-    # and full
-    def holds(phi: Formula, env: dict) -> int:
-        kind = type(phi)
-        if kind is Pred:
-            return atoms.get(
-                (phi.name, tuple(env[a.id] if type(a) is Var else env[a.name] for a in phi.args)), 0
-            )
-        if kind is And:
-            bits = holds(phi.left, env)
-            return bits and bits & holds(phi.right, env)
-        if kind is Diam:
-            # the proper ancestors of the worlds in inner, in time linear
-            # in the tree: each is marked once, and a marked world's
-            # ancestors are marked already
-            if stop_at is not None and time.monotonic() > stop_at:
-                raise _Deadline
-            inner = format(holds(phi.body, env), "b")[::-1]
-            marks = bytearray(len(parent))
-            u = inner.find("1")
-            while u >= 0:
-                p = parent[u]
-                while p >= 0 and not marks[p]:
-                    marks[p] = 1
-                    p = parent[p]
-                u = inner.find("1", u + 1)
-            return int(marks[::-1].translate(_BITS), 2)
-        if kind is All:
-            bits = full
-            for e in range(size):
-                bits &= holds(phi.body, {**env, phi.var: e})
-                if not bits:
-                    break
-            return bits
-        return full  # Top
+    def diamond(bits: int) -> int:
+        # the proper ancestors of the worlds in bits, in time linear in
+        # the tree: each is marked once, and a marked world's ancestors
+        # are marked already
+        if stop_at is not None and time.monotonic() > stop_at:
+            raise _Deadline
+        inner = format(bits, "b")[::-1]
+        marks = bytearray(len(parent))
+        u = inner.find("1")
+        while u >= 0:
+            p = parent[u]
+            while p >= 0 and not marks[p]:
+                marks[p] = 1
+                p = parent[p]
+            u = inner.find("1", u + 1)
+        return int(marks[::-1].translate(_BITS), 2)
 
     steps = 0
     for labels in valuations(len(names), size):
         env = dict(zip(names, labels))
-        atoms: dict[tuple[str, tuple[int, ...]], int] = {}
+        tables: defaultdict[str, _Asserted] = defaultdict(_Asserted)
         parent = [-1]
-        todo: list[tuple[Formula, int, dict]] = [(seq.ante, 0, env)]
+        # e: the element that a quantifier binds next
+        todo: list[tuple[Formula, int, dict, int]] = [(seq.ante, 0, env, 0)]
         while todo:
             steps += 1
             if steps % 64 == 0 and stop_at is not None and time.monotonic() > stop_at:
                 raise _Deadline
-            phi, w, local = todo.pop()
+            phi, w, local, e = todo.pop()
             kind = type(phi)
             if kind is Pred:
-                args = tuple(local[a.id] if type(a) is Var else local[a.name] for a in phi.args)
-                key = (phi.name, args)
-                atoms[key] = atoms.get(key, 0) | 1 << w
+                i = 0
+                for a in phi.args:
+                    i = i * size + (local[a.id] if type(a) is Var else local[a.name])
+                tables[phi.name].setdefault(i, []).append(w)
             elif kind is And:
-                todo.append((phi.right, w, local))
-                todo.append((phi.left, w, local))
+                todo.append((phi.right, w, local, 0))
+                todo.append((phi.left, w, local, 0))
             elif kind is Diam:
                 parent.append(w)
-                todo.append((phi.body, len(parent) - 1, local))
+                todo.append((phi.body, len(parent) - 1, local, 0))
             elif kind is All:
-                todo.extend((phi.body, w, {**local, phi.var: e}) for e in range(size))
-        full = (1 << len(parent)) - 1
+                # one element at a time; where the variable is not free in
+                # the body, every element makes the same subtree, made once
+                if e + 1 < size and phi.var in fv(phi.body):
+                    todo.append((phi, w, local, e + 1))
+                todo.append((phi.body, w, {**local, phi.var: e}, 0))
+        holds = _evaluator(size, (1 << len(parent)) - 1, tables, env,
+                           diamond if len(parent) > 1 else None, stop_at)
         if not holds(seq.cons, env) & 1:
             return False
         if stop_at is not None and time.monotonic() > stop_at:

@@ -402,15 +402,40 @@ def test_a_huge_domain_bound_costs_nothing_on_a_sequent_proved_first():
     assert peak < 4 << 20
 
 
-def test_decide_proves_a_long_quantifier_prefix_past_the_root_check():
-    # proved at depth 1 (Top), but the root's two-element check first builds
-    # the antecedent's tree, 2^12 leaves here; 16 quantifiers take ~0.25 s and
-    # 20 reach a 1 s deadline (see README)
-    prefix = "".join(f"A a{i} . " for i in range(12))
-    sig, goal = parse_problem(f"pred P/1. {prefix}P(a0) ~> T")
+@pytest.mark.parametrize("problem", [
+    # proved at depth 1 (Top)
+    "pred P/1. " + "".join(f"A a{i} . " for i in range(20)) + "P(a0) ~> T",
+    # proved at depth 3 (AllIl, Nec, Top)
+    "".join(f"A a{i} . <> " for i in range(20)) + "T ~> <> T",
+], ids=["prefix", "diamonds"])
+def test_decide_proves_a_long_quantifier_prefix_past_the_root_check(problem):
+    # the root's two-element check first builds the antecedent's tree; with
+    # every quantifier expanded over both elements it has 2^20 leaves and
+    # reaches a 1 s deadline, but no quantifier after the first has its
+    # variable free in its body, and the tree expands such a one once
+    sig, goal = parse_problem(problem)
     out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.25))
     assert isinstance(out, Proved)
     assert took < 0.25
+
+
+_NAMES = "abcdefghijkl"
+
+
+@pytest.mark.parametrize("problem, max_domain", [
+    # at domain 3, 3^12 evaluations of a 12-atom conjunction
+    ("pred P/1. A x . P(x) ~> " + "".join(f"A {v} . " for v in _NAMES)
+     + f"({' & '.join(f'P({v})' for v in _NAMES)})", 3),
+    # one quantifier over 10^7 elements, none of which changes its body
+    ("pred P/1. P(c) ~> A y . P(c)", 10**7),
+], ids=["nested", "wide"])
+def test_a_quantifier_of_the_consequent_reads_the_deadline(problem, max_domain):
+    # the consequent holds at the root of every tree, and evaluating it
+    # takes seconds with no diamond and no tree node in between
+    sig, goal = parse_problem(problem)
+    out, took = _elapsed(refute, sig, goal, SearchBounds(max_domain=max_domain, deadline=0.25))
+    assert out == Exhausted("deadline reached")
+    assert took < 0.25 + DEADLINE_SLACK
 
 
 def test_decide_output_does_not_depend_on_the_hash_seed():
@@ -455,18 +480,24 @@ def _run_capped(argv, cap):
     )
 
 
-def test_tree_check_meets_its_deadline_under_a_memory_cap():
-    # the antecedent's tree at domain 3 has ~7M worlds; with one bitmask
-    # of its ancestors per world, the part built in a second takes ~0.5 GB
-    # and exits 70 under the 256 MiB cap, where a parent index per world
-    # takes ~30 MB
-    nested = "T"
-    for v in reversed("abcdefghijklmn"):
-        nested = f"A {v} . <> {nested}"
-    # the consequent holds at the root of every tree, so the check runs on
-    argv = ["countermodel", f"{nested} ~> <> T", "--json", "--timeout", "1.0"]
+@pytest.mark.parametrize("problem, flags, cap", [
+    # the antecedent's tree at domain 3 has ~7M worlds, each leaf asserting
+    # its own atom; with one bitmask of its ancestors per world, or one
+    # bitmask of its worlds per atom, the part built in a second takes
+    # ~0.5 GB and exits 70 under the 256 MiB cap, where a parent index per
+    # world and a list of worlds per atom take ~70 MB.  The atom names every
+    # variable, so no quantifier is expanded only once.  The consequent
+    # holds at the root of every tree, so the check runs on
+    ("pred R/14. " + "".join(f"A {v} . <> " for v in "abcdefghijklmn")
+     + "R(a, b, c, d, e, f, g, h, i, j, k, l, m, n) ~> <> T", [], 1 << 28),
+    # at 10^9 elements, the antecedent's quantifier expanded all at once
+    # asks for 10^9 stack entries and exits 70 under the 1 GiB cap
+    ("pred P/1. A x . P(x) ~> P(c)", ["--max-domain", "1000000000"], 1 << 30),
+], ids=["leaf-atoms", "huge-domain"])
+def test_tree_check_meets_its_deadline_under_a_memory_cap(problem, flags, cap):
+    argv = ["countermodel", problem, "--json", "--timeout", "1.0", *flags]
     start = time.monotonic()
-    proc = _run_capped(argv, 1 << 28)
+    proc = _run_capped(argv, cap)
     took = time.monotonic() - start
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stdout) == {"found": False, "reason": "deadline reached"}
@@ -843,10 +874,11 @@ def test_pruning_leaves_a_goal_with_many_names_provable():
 
 def test_pruning_returns_at_the_deadline():
     # the subgoal's two-element tree has 2^20 leaves, seconds of work, at
-    # one element 20; the check polls the search's own deadline
+    # one element 20; the check polls the search's own deadline.  The atom
+    # names every variable, so no quantifier is expanded only once
     names = "abcdefghijklmnopqrst"
-    ante = "".join(f"A {v} . " for v in names) + "P(a)"
-    sig, goal = parse_problem(f"pred P/1. pred Q/1. {ante} ~> Q(y) & Q(y)")
+    ante = "".join(f"A {v} . " for v in names) + f"P({', '.join(names)})"
+    sig, goal = parse_problem(f"pred P/20. pred Q/1. {ante} ~> Q(y) & Q(y)")
     out, took = _elapsed(proof_search, goal, sig, SearchBounds(deadline=0.3))
     assert out is None
     assert took < 0.3 + DEADLINE_SLACK
