@@ -72,16 +72,17 @@ def _build_parser() -> _ArgumentParser:
     p = sub.add_parser("adequate", help="print the adequacy report of a model file")
     p.add_argument("model", help="path to a .qkm model file")
 
+    bounds = search.SearchBounds()
     for name, help_text in (
         ("countermodel", "search for a countermodel to a sequent"),
         ("decide", "run proof search and countermodel search together"),
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("sequent", help="optional `const c.`/`pred S/2.` header, then `f ~> g`")
-        p.add_argument("--max-worlds", type=count, default=4)
-        p.add_argument("--max-domain", type=count, default=3)
+        p.add_argument("--max-worlds", type=count, default=bounds.max_worlds)
+        p.add_argument("--max-domain", type=count, default=bounds.max_domain)
         if name == "decide":
-            p.add_argument("--max-depth", type=count, default=8)
+            p.add_argument("--max-depth", type=count, default=bounds.max_proof_depth)
         p.add_argument("--timeout", type=seconds, default=None, metavar="SECS")
 
     p = sub.add_parser(
@@ -91,8 +92,9 @@ def _build_parser() -> _ArgumentParser:
     p.add_argument("proof", help="path to a .qpf proof file")
     p.add_argument("--models", type=count, default=200)
     p.add_argument("--samples", type=count, default=8)
-    p.add_argument("--max-worlds", type=count, default=4)
-    p.add_argument("--max-domain", type=count, default=3)
+    gen = generate.GenBounds()
+    p.add_argument("--max-worlds", type=count, default=gen.max_worlds)
+    p.add_argument("--max-domain", type=count, default=gen.max_domain)
     for p in sub.choices.values():  # last, where each command's help lists it
         p.add_argument("--json", action="store_true", dest="as_json")
     return parser
@@ -230,7 +232,8 @@ def _problem(
     sig, seq = syntax.parse_problem(args.sequent, table)
     return table, sig, seq, search.SearchBounds(
         max_worlds=args.max_worlds, max_domain=args.max_domain,
-        max_proof_depth=getattr(args, "max_depth", 8), deadline=args.timeout,
+        max_proof_depth=getattr(args, "max_depth", search.SearchBounds().max_proof_depth),
+        deadline=args.timeout,
     )
 
 

@@ -61,18 +61,15 @@ of the search can succeed.  A tree that clears the sequent lets
 adequate model where the sequent fails, so by soundness no derivation
 exists, and `decide` skips proof search.
 
-Proof search uses the same argument on the goals it meets: a goal that
-a tree refutes has no derivation, so search never expands it and finds
-the proof it would find without the check.  Each goal below the root is
+The two-element check, `_clears`, builds these trees at two elements
+(one when `max_domain` is 1) and only under the valuations that set at
+most one name apart (`_one_apart`): k + 1 trees for k names, where every
+two-element valuation would be 2^(k-1).  `decide` and `refute` run it on
+the root, and proof search on the goals it meets: a goal that a tree
+refutes has no derivation, so search never expands it and finds the
+proof it would find without the check.  Each goal below the root is
 checked once, when first met with more than two levels of depth left
 (with two, its expansion is axiom tests alone, cheaper than the check).
-The trees have two elements and only the valuations that set at most
-one name apart (`_one_apart`): k + 1 trees for k names, where every
-two-element valuation would be 2^(k-1).  One element refutes far fewer
-goals, three barely more than two, and nearly every goal that two
-elements refute falls at one of these valuations (measured at
-`_PRUNE_DOMAIN`).  The root is left to `decide`, which checks it
-itself.
 
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
@@ -81,14 +78,14 @@ variables, and constants for the constant-elimination move from the
 names ``k0``, ``k1``, ... that the signature does not declare.  Whatever
 it returns is re-checked by the kernel.
 
-`decide` runs four steps in order, each to its end.  It checks the root
-with the pruning check's trees, at no more than `max_domain` elements.
-If they clear it, proof search runs, and if that finds no proof, the
-tree check at `max_domain`.  A root that either check refutes goes to
-enumeration, `_refutation`, which runs to its first hit: a two-element
-refutation gives one with `max_domain` elements, by the copying
-argument above, and no derivation, by soundness.  `refute` takes the
-same two checks, without proof search between them.
+`decide` and `refute` share one pipeline, each step run to its end.
+`decide` proves an axiom instance at once; otherwise both run the
+two-element check on the root, and `decide` runs proof search on a root
+that it clears.  Both end in one refutation step, `_refutation`: a root
+that the check cleared goes to the tree check at `max_domain`, and a
+root that either check refutes to enumeration, which runs to its first
+hit.  A two-element refutation gives one with `max_domain` elements, by
+the copying argument above, and no derivation, by soundness.
 """
 
 from __future__ import annotations
@@ -418,21 +415,6 @@ def _one_apart(k: int, d: int) -> Iterator[list[int]]:
             yield [int((j == i) != (i == 0)) for j in range(k)]
 
 
-# The pruning check, of `_ProofSearch` on goals below the root and of
-# `decide` and `refute` on the root: the antecedent's trees at two
-# elements, under the valuations that set at most one name apart.  Neither
-# is a setting.  On the first 3000 sequents of the benchmark's decide-valid
-# inputs (seed 1), pruning with every valuation left 516k search nodes at
-# one element, 362k at two and 358k at three, and three elements walk every
-# partition of the names into three blocks (41 valuations for 5 names,
-# against 16 at two).  Of the goals that some two-element valuation
-# refutes, 99.8% fall at one of these k + 1 for k names.  All 2^(k-1) of
-# them cost more than the search they save on goals with many names: a
-# 12-name sequent went from proved in 0.3 s to past a 2 s deadline.
-_PRUNE_DOMAIN = 2
-_PRUNE_VALUATIONS = _one_apart
-
-
 class _Asserted(dict):
     """One predicate's atoms in a tree: the worlds asserting each tuple,
     listed under its index in `product` order, and read as a bitmask
@@ -536,6 +518,24 @@ def _no_countermodel(
     return True
 
 
+# Neither the two elements nor the valuations are a setting.  On the first
+# 3000 sequents of the benchmark's decide-valid inputs (seed 1), pruning
+# with every valuation left 516k search nodes at one element, 362k at two
+# and 358k at three, and three elements walk every partition of the names
+# into three blocks (41 valuations for 5 names, against 16 at two).  Of the
+# goals that some two-element valuation refutes, 99.8% fall at one of
+# these k + 1 for k names.  All 2^(k-1) of them cost more than the search
+# they save on goals with many names: a 12-name sequent went from proved
+# in 0.3 s to past a 2 s deadline.
+def _clears(seq: Sequent, stop_at: float | None, max_domain: int = 2) -> bool:
+    """The two-element check: the antecedent's trees at two elements (one
+    when `max_domain` is 1), under `_one_apart`.  False shows a
+    countermodel within `max_domain` elements, since refutability only
+    grows with the domain size, and by soundness that no derivation
+    exists.  Proof search, which needs only the latter, keeps the default."""
+    return _no_countermodel(seq, min(2, max_domain), stop_at, _one_apart)
+
+
 def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> None:
     frame = model.frame
     if any(a == b for (a, b) in frame.rel):
@@ -550,35 +550,26 @@ def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> Non
 
 
 def _refutation(
-    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None
-) -> Refuted | None:
-    """The first hit of `_candidates`, validated and re-verified with
-    `sat`, or None when the bounds hold no countermodel."""
+    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None, cleared: bool
+) -> Refuted | Exhausted | None:
+    """The refutation step, given the two-element check's verdict.  A
+    sequent that it cleared goes to the tree check at `max_domain`, and
+    None means that this check cleared it too.  Otherwise a tree has
+    refuted the sequent, and the step returns the first hit of
+    `_candidates`, validated and re-verified with `sat`, or Exhausted if
+    every countermodel needs more worlds than the bounds allow."""
+    if cleared and _no_countermodel(seq, bounds.max_domain, stop_at):
+        return None
     hit = next(filter(None, _candidates(sig, seq, bounds, stop_at)), None)
     if hit is None:
-        return None
+        return Exhausted(
+            f"refutable, but every countermodel with at most {bounds.max_domain} "
+            f"element(s) needs more than {bounds.max_worlds} world(s)"
+        )
     raw, w, g = hit
     model = validate_model(raw)
     _verify_refutation(model, w, g, seq)
     return Refuted(model, w, g)
-
-
-def _root_clears(seq: Sequent, bounds: SearchBounds, stop_at: float | None) -> bool:
-    """The pruning check on the whole sequent, at no more than
-    `bounds.max_domain` elements.  False shows a countermodel within
-    that many elements, since refutability only grows with the domain
-    size."""
-    return _no_countermodel(
-        seq, min(_PRUNE_DOMAIN, bounds.max_domain), stop_at, _PRUNE_VALUATIONS)
-
-
-def _too_few_worlds(bounds: SearchBounds) -> Exhausted:
-    """The end of a search whose tree refuted the sequent, but whose
-    enumeration found no countermodel within the bounds."""
-    return Exhausted(
-        f"refutable, but every countermodel with at most {bounds.max_domain} "
-        f"element(s) needs more than {bounds.max_worlds} world(s)"
-    )
 
 
 def refute(
@@ -588,18 +579,14 @@ def refute(
     order, or Exhausted, saying what ended the search: the deadline, a
     tree showing that no countermodel has at most `bounds.max_domain`
     elements (then enumeration is skipped), or, when a tree refutes the
-    sequent, a world bound too small for any countermodel.  The trees of
-    `_root_clears` come first, and a sequent that they refute skips the
-    check at `max_domain`."""
+    sequent, a world bound too small for any countermodel.  It runs the
+    two-element check, then the refutation step."""
     stop_at = _stop_at(bounds)
     try:
-        if _root_clears(seq, bounds, stop_at) and _no_countermodel(
-                seq, bounds.max_domain, stop_at):
-            return Exhausted("no countermodel within bounds")
-        found = _refutation(sig, seq, bounds, stop_at)
+        found = _refutation(sig, seq, bounds, stop_at, _clears(seq, stop_at, bounds.max_domain))
     except _Deadline:
         return Exhausted("deadline reached")
-    return found or _too_few_worlds(bounds)
+    return found or Exhausted("no countermodel within bounds")
 
 
 def enumerate_countermodels(
@@ -617,7 +604,7 @@ def enumerate_countermodels(
 class _ProofSearch:
     """Fresh variables and reserved constants are drawn lazily, in order,
     so a large depth bound costs nothing until search gets that far.
-    A goal that the pruning check refutes (see the module docstring) is
+    A goal that the two-element check refutes (see the module docstring) is
     recorded as failed at every depth; `pruned` counts them."""
 
     def __init__(self, seq: Sequent, sig: Signature, stop_at: float | None):
@@ -657,7 +644,7 @@ class _ProofSearch:
         # with two levels left a goal expands into axiom tests alone, which
         # cost less than the check; one met there is checked when met deeper
         if depth > 2 and path and goal not in self.cleared:
-            if not self.clears(ante, cons):
+            if not _clears(Sequent(ante, cons), self.stop_at):
                 self.memo[goal] = math.inf
                 self.pruned += 1
                 return None
@@ -670,11 +657,6 @@ class _ProofSearch:
         if found is None:
             self.memo[goal] = depth
         return found
-
-    def clears(self, ante: Formula, cons: Formula) -> bool:
-        """False when a tree of the pruning check refutes the goal."""
-        return _no_countermodel(
-            Sequent(ante, cons), _PRUNE_DOMAIN, self.stop_at, _PRUNE_VALUATIONS)
 
     def _moves(self, ante: Formula, cons: Formula, depth: int, path: set) -> Derivation | None:
         if isinstance(cons, And):
@@ -811,30 +793,30 @@ def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
 def decide(
     seq: Sequent, sig: Signature, bounds: SearchBounds = SearchBounds()
 ) -> SearchOutcome:
-    """Run four steps in order, each to its end: the pruning check's
-    trees on the root (`_root_clears`), proof search, the tree check at
-    `max_domain`, and enumeration.
+    """Prove an axiom instance at once, its one-step proof re-checked;
+    otherwise run the two-element check on the root, proof search if it
+    clears the root, and the refutation step that `refute` ends in.
 
-    A root that the first check clears goes to proof search.  If that
-    finds no proof, a tree check at `max_domain` that clears the sequent
-    shows that the bounds hold no countermodel either.  A tree that
-    refutes it, in either check, is an adequate model where the sequent
-    fails, so by soundness no derivation exists: enumeration runs, and
-    since the tree may need more worlds than the bounds allow, Exhausted
-    says so if it finds nothing.  Both certificates are re-verified.
+    A tree that refutes the root is an adequate model where the sequent
+    fails, so by soundness no derivation exists and proof search is
+    skipped.  With no proof, the refutation step's tree check at
+    `max_domain` may clear the sequent, which shows that the bounds hold
+    no countermodel either.  Both certificates are re-verified.
     """
+    leaf = _axiom_leaf(seq.ante, seq.cons)
+    if leaf is not None:
+        return Proved(_rechecked(leaf, seq, sig))
     stop_at = _stop_at(bounds)
     try:
-        if _root_clears(seq, bounds, stop_at):
+        cleared = _clears(seq, stop_at, bounds.max_domain)
+        if cleared:
             d = _proofs(seq, sig, bounds, stop_at)
             if d is not None:
                 return Proved(d)
-            if _no_countermodel(seq, bounds.max_domain, stop_at):
-                return Exhausted(
-                    f"no proof within depth {bounds.max_proof_depth} and no countermodel "
-                    f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
-                )
-        refuted = _refutation(sig, seq, bounds, stop_at)
+        found = _refutation(sig, seq, bounds, stop_at, cleared)
     except _Deadline:
         return Exhausted("deadline reached")
-    return refuted or _too_few_worlds(bounds)
+    return found or Exhausted(
+        f"no proof within depth {bounds.max_proof_depth} and no countermodel "
+        f"within {bounds.max_worlds} world(s) and {bounds.max_domain} element(s)"
+    )

@@ -461,6 +461,17 @@ def test_out_of_range_numeric_options_are_usage_errors(capsys, argv, option):
     assert f"argument {option}:" in err
 
 
+def test_search_options_default_to_the_library_bounds():
+    import qrc1.cli as cli
+    from qrc1 import GenBounds, SearchBounds
+
+    parser = cli._build_parser()
+    for command in ("countermodel", "decide"):
+        assert cli._problem(parser.parse_args([command, "T ~> T"]))[3] == SearchBounds()
+    args = parser.parse_args(["soundness", "proof.qpf"])
+    assert GenBounds(args.max_worlds, args.max_domain) == GenBounds()
+
+
 def test_one_parser_serves_every_call(capsys, monkeypatch, trans_proof, one_world):
     import qrc1.cli as cli
 
@@ -527,7 +538,8 @@ def test_a_search_proof_the_kernel_rejects_exits_70_not_1(capsys, monkeypatch, f
 
     bad = and_intro(ax_refl(TOP), ax_top(Pred("P", (Var(0),))))
     monkeypatch.setattr(_ProofSearch, "dfs", lambda self, *args: bad)
-    code, out, err = run(capsys, "decide", "pred P/1. T ~> T", *flags)
+    # valid, but no axiom instance, so decide proves it by proof search
+    code, out, err = run(capsys, "decide", "pred P/1. A x . P(x) ~> P(y)", *flags)
     assert (code, out) == (70, "")
     assert err.startswith("qrc1: internal error: CheckError: premise-mismatch in AndI")
 

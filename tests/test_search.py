@@ -50,11 +50,10 @@ from qrc1 import (
 from qrc1.generate import GenBounds, generate_models, random_formula
 from qrc1.search import (
     _Deadline,
-    _PRUNE_DOMAIN,
-    _PRUNE_VALUATIONS,
     _ProofSearch,
     _axiom_leaf,
     _candidates,
+    _clears,
     _no_countermodel,
     _one_apart,
     _verify_refutation,
@@ -409,14 +408,59 @@ def test_a_huge_domain_bound_costs_nothing_on_a_sequent_proved_first():
     "".join(f"A a{i} . <> " for i in range(20)) + "T ~> <> T",
 ], ids=["prefix", "diamonds"])
 def test_decide_proves_a_long_quantifier_prefix_past_the_root_check(problem):
-    # the root's two-element check first builds the antecedent's tree; with
-    # every quantifier expanded over both elements it has 2^20 leaves and
-    # reaches a 1 s deadline, but no quantifier after the first has its
-    # variable free in its body, and the tree expands such a one once
+    # with every quantifier expanded over both elements, the antecedent's
+    # two-element tree has 2^20 leaves and reaches a 1 s deadline, but no
+    # quantifier after the first has its variable free in its body, and the
+    # tree expands such a one once ([prefix] is an axiom instance, which
+    # decide proves before it builds any tree)
     sig, goal = parse_problem(problem)
     out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.25))
     assert isinstance(out, Proved)
     assert took < 0.25
+
+
+def test_decide_proves_an_axiom_instance_before_any_tree(monkeypatch):
+    # proved by Top at depth 1, but every quantifier binds a variable its
+    # body uses, so the root's two-element tree would walk 2^20 leaves
+    from qrc1 import search
+
+    names = [f"a{i}" for i in range(20)]
+    problem = ("pred P/20. " + "".join(f"A {v} . " for v in names)
+               + f"P({', '.join(names)}) ~> T")
+    sig, goal = parse_problem(problem)
+    out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.25))
+    assert isinstance(out, Proved) and out.derivation.rule == "Top"
+    assert took < 0.25 + DEADLINE_SLACK
+
+    def no_tree(*args):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(search, "_no_countermodel", no_tree)
+    for text in ("P(x) ~> P(x)", "P(x) & Q(x) ~> Q(x)", "<> <> P(x) ~> <> P(x)"):
+        assert isinstance(decide(seq(text), SIG), Proved), text
+
+
+@pytest.mark.parametrize("command", ["decide", "refute"])
+def test_the_refutation_step_at_a_huge_domain_bound(command):
+    # the root's two-element tree refutes both sequents.  The first needs
+    # two worlds, so enumeration walks every domain size at one world first
+    # and meets the deadline; the second has a one-world countermodel
+    bounds = SearchBounds(max_domain=10**9, deadline=0.25)
+
+    def outcome(problem):
+        sig, goal = parse_problem(problem)
+        return decide(goal, sig, bounds) if command == "decide" else refute(sig, goal, bounds)
+
+    tracemalloc.start()
+    try:
+        out, took = _elapsed(outcome, "pred P/1. <> P(x) ~> <> <> P(x)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out == Exhausted("deadline reached")
+    assert took < 0.25 + DEADLINE_SLACK
+    assert peak < 4 << 20
+    assert isinstance(outcome("pred S/2. S(x, y) ~> S(y, x)"), Refuted)
 
 
 _NAMES = "abcdefghijkl"
@@ -730,7 +774,7 @@ def test_tree_check_never_refutes_a_provable_sequent():
     for goal in goals:
         for d in (1, 2, 3):
             assert _no_countermodel(goal, d, None), (goal, d)
-        assert _no_countermodel(goal, _PRUNE_DOMAIN, None, _PRUNE_VALUATIONS), goal
+        assert _clears(goal, None), goal
 
 
 def test_no_countermodels_for_axiom_schemes_on_small_formulas():
@@ -806,26 +850,28 @@ def test_pruning_changes_no_proof(monkeypatch):
     for _ in range(200):
         goals.append(Sequent(random_formula(rng, BATTERY_SIG, (0, 1), rng.randint(0, 3)),
                              random_formula(rng, BATTERY_SIG, (0, 1), rng.randint(0, 2))))
-    real = search._ProofSearch.clears
+    real = search._clears
     asked, skipped = [], set()
 
-    def recording(self, ante, cons):
-        asked.append((self, Sequent(ante, cons)))
-        verdict = real(self, ante, cons)
+    def recording(goal, *args):
+        asked.append(goal)
+        verdict = real(goal, *args)
         if not verdict:
-            skipped.add(Sequent(ante, cons))
+            skipped.add(goal)
         return verdict
 
     def dumped(d):
         return d and dump_proof(d, used_signature(BATTERY_SIG, d))
 
-    monkeypatch.setattr(search._ProofSearch, "clears", recording)
+    monkeypatch.setattr(search, "_clears", recording)
     for goal in goals:
         unpruned = _Unpruned(goal, BATTERY_SIG, None).first_proof(goal, 4)
+        asked.clear()
         assert dumped(proof_search(goal, BATTERY_SIG, SearchBounds(max_proof_depth=4))) == \
             dumped(unpruned), goal
-    # each search checks a goal once, and some skip many
-    assert len({(id(state), goal) for state, goal in asked}) == len(asked)
+        # each search checks a goal once
+        assert len(set(asked)) == len(asked), goal
+    # and some skip many
     assert len(skipped) > 500
     for goal in skipped:
         assert _Unpruned(goal, BATTERY_SIG, None).first_proof(goal, 4) is None, goal
@@ -839,17 +885,17 @@ def test_pruning_builds_one_tree_per_name_apart(monkeypatch):
     built = []
 
     def recording(k, d):
-        for labels in _PRUNE_VALUATIONS(k, d):
+        for labels in _one_apart(k, d):
             built.append(tuple(labels))
             yield labels
 
-    monkeypatch.setattr(search, "_PRUNE_VALUATIONS", recording)
+    monkeypatch.setattr(search, "_one_apart", recording)
     for k in range(3, 9):
         names = "abcdefgh"[:k]
         conj = " & ".join(f"R({v})" for v in names)
         sig, goal = parse_problem(f"pred R/1. {conj} ~> R(a)")
         built.clear()
-        assert search._ProofSearch(goal, sig, None).clears(goal.ante, goal.cons)
+        assert search._clears(goal, None)
         assert len(built) == len(set(built)) == k + 1
         assert all(labels[0] == 0 and set(labels) <= {0, 1} for labels in built)
 
