@@ -45,18 +45,20 @@ class fresh:
 class _ValueType(type):
     """Builds a value class with slots.  The names annotated in the class
     body are its fields, in order, and a value given to one is its default.
-    The class gets a slot per field, `__match_args__` naming the fields, an
-    `__init__` that calls `__post_init__` when the class has one, `==` by
-    exact type and the tuple of the fields, and the hash of that tuple,
-    which a class with a `_hash` slot computes once and stores there.  The
-    three are compiled from straight-line source per class, since a loop
-    over the fields makes `==` more than twice as slow."""
+    A value class may extend another, whose fields (not their defaults)
+    come first.  The class gets a slot per field of its own,
+    `__match_args__` naming all of them, an `__init__` that calls
+    `__post_init__` when the class has one, `==` by exact type and the
+    tuple of the fields, and the hash of that tuple, which a class with a
+    `_hash` slot computes once and stores there.  The three are compiled
+    from straight-line source per class, since a loop over the fields
+    makes `==` more than twice as slow."""
 
     def __new__(mcs, name: str, bases: tuple, ns: dict) -> type:
-        fields = tuple(ns.get("__annotations__", ()))
-        defaults = {f: ns.pop(f) for f in fields if f in ns}
-        ns["__slots__"] = fields + tuple(ns.get("__slots__", ()))
-        ns["__match_args__"] = fields
+        own = tuple(ns.get("__annotations__", ()))
+        defaults = {f: ns.pop(f) for f in own if f in ns}
+        ns["__slots__"] = own + tuple(ns.get("__slots__", ()))
+        fields = ns["__match_args__"] = (bases[0].__match_args__ if bases else ()) + own
         cls = super().__new__(mcs, name, bases, ns)
         scope = {f"_set_{f}": getattr(cls, f).__set__ for f in fields}
         scope.update({f"_d_{f}": d for f, d in defaults.items()})

@@ -79,12 +79,12 @@ names ``k0``, ``k1``, ... that the signature does not declare.  Whatever
 it returns is re-checked by the kernel.
 
 `decide` and `refute` share one pipeline, each step run to its end.
-`decide` proves an axiom instance at once; otherwise both run the
-two-element check on the root, and `decide` runs proof search on a root
-that it clears.  Both end in one refutation step, `_refutation`: a root
-that the check cleared goes to the tree check at `max_domain`, and a
-root that either check refutes to enumeration, which runs to its first
-hit.  A two-element refutation gives one with `max_domain` elements, by
+`decide` proves an axiom instance at once, and `refute` answers that it
+has no countermodel; otherwise both run the two-element check on the
+root, and `decide` runs proof search on a root that it clears.  Both end
+in one refutation step, `_refutation`: a root that the check cleared goes
+to the tree check at `max_domain`, and a root that either check refutes
+to enumeration, which runs to its first hit.  A two-element refutation gives one with `max_domain` elements, by
 the copying argument above, and no derivation, by soundness.
 """
 
@@ -207,16 +207,15 @@ def soundness_check(
     rng = rng or random.Random(0)
     variables = sorted(fv(seq.ante) | fv(seq.cons))
     for m in models:
-        raw = m.raw
-        for w in range(raw.frame.worlds):
-            size = raw.frame.domains[w]
+        for w in range(m.frame.worlds):
+            size = m.frame.domains[w]
             if size == 0:
                 continue
             for _ in range(samples_per_model):
                 g = Assignment(
                     w, rng.randrange(size), {x: rng.randrange(size) for x in variables}
                 )
-                if _sat(raw, w, g, seq.ante) and not _sat(raw, w, g, seq.cons):
+                if _sat(m, w, g, seq.ante) and not _sat(m, w, g, seq.cons):
                     return m, w, g
     return None
 
@@ -545,7 +544,7 @@ def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> Non
     ident = tuple(range(frame.domains[0]))
     if any(row != ident for block in frame.eta for row in block):
         raise InternalError("refutation witness eta is not the identity")
-    if not (_sat(model.raw, w, g, seq.ante) and not _sat(model.raw, w, g, seq.cons)):
+    if not (_sat(model, w, g, seq.ante) and not _sat(model, w, g, seq.cons)):
         raise InternalError("refutation witness does not refute the sequent")
 
 
@@ -579,8 +578,11 @@ def refute(
     order, or Exhausted, saying what ended the search: the deadline, a
     tree showing that no countermodel has at most `bounds.max_domain`
     elements (then enumeration is skipped), or, when a tree refutes the
-    sequent, a world bound too small for any countermodel.  It runs the
-    two-element check, then the refutation step."""
+    sequent, a world bound too small for any countermodel.  An axiom
+    instance, which by soundness has none, is answered before any tree;
+    otherwise it runs the two-element check, then the refutation step."""
+    if _axiom_leaf(seq.ante, seq.cons) is not None:
+        return Exhausted("no countermodel within bounds")
     stop_at = _stop_at(bounds)
     try:
         found = _refutation(sig, seq, bounds, stop_at, _clears(seq, stop_at, bounds.max_domain))

@@ -7,7 +7,9 @@ model adds per-world interpretations of the signature's constants and
 predicates.  Adequacy, checked by `check_adequacy`, asks for a transitive
 relation, compatibility functions that compose along related chains and
 are identities on a world, and constant interpretations carried along the
-relation by the compatibility functions.
+relation by the compatibility functions.  `validate_model` returns a raw
+model that passes as a `Model`, a subtype with no fields of its own whose
+type says it is adequate, so every function here takes either.
 
 Worlds and domain elements are small integer indices throughout and the
 eta tables are dense, so everything can be enumerated exhaustively.
@@ -188,34 +190,18 @@ class AdequacyReport(_Value):
         )
 
 
-class Model(_Value):
-    """A raw model that passed `check_adequacy`; build it with
-    `validate_model`."""
-
-    raw: RawModel
-
-    @property
-    def sig(self) -> Signature:
-        return self.raw.sig
+class Model(RawModel):
+    """A raw model that passed `check_adequacy`, so its type says it is
+    adequate; build it with `validate_model`.  It has no fields of its own,
+    and whatever takes a `RawModel` takes it as it is."""
 
     @property
-    def frame(self) -> RawFrame:
-        return self.raw.frame
-
-    @property
-    def const_interp(self) -> tuple[Mapping[str, int], ...]:
-        return self.raw.const_interp
-
-    @property
-    def pred_interp(self) -> tuple[Mapping[str, frozenset[tuple[int, ...]]], ...]:
-        return self.raw.pred_interp
+    def raw(self) -> RawModel:
+        """The same four fields as a plain `RawModel`."""
+        return RawModel(self.sig, self.frame, self.const_interp, self.pred_interp)
 
 
-def _raw(m: Model | RawModel) -> RawModel:
-    return m.raw if isinstance(m, Model) else m
-
-
-def check_adequacy(m: Model | RawModel) -> AdequacyReport:
+def check_adequacy(raw: RawModel) -> AdequacyReport:
     """Exhaustively check the four adequacy conditions.
 
     Triples of worlds for transitivity and eta composition, every world
@@ -223,7 +209,6 @@ def check_adequacy(m: Model | RawModel) -> AdequacyReport:
     concordance.  The first failure of each kind is witnessed, searching
     edges in sorted order, successors, elements and constants ascending.
     """
-    raw = _raw(m)
     frame = raw.frame
     rel, succ, eta = frame.rel, frame.succ, frame.eta
     edges = sorted(rel)
@@ -254,7 +239,7 @@ def validate_model(raw: RawModel) -> Model:
     report = check_adequacy(raw)
     if not report.ok:
         raise InadequateModelError(report)
-    return Model(raw)
+    return Model(raw.sig, raw.frame, raw.const_interp, raw.pred_interp)
 
 
 # -- assignments -----------------------------------------------------
@@ -275,13 +260,13 @@ class Assignment(_Value):
 
 
 def assignment(
-    m: Model | RawModel,
+    m: RawModel,
     w: int,
     default: int,
     overrides: Mapping[int, int] | None = None,
 ) -> Assignment:
     """Validated constructor; the domain of ``w`` must be nonempty."""
-    frame = m.raw.frame if isinstance(m, Model) else m.frame
+    frame = m.frame
     if not 0 <= w < frame.worlds:
         raise ValueError(f"no world {w}")
     size = frame.domains[w]
@@ -297,21 +282,20 @@ def assignment(
     return Assignment(w, default, env)
 
 
-def assign_term(m: Model | RawModel, g: Assignment, t: Term) -> int:
+def assign_term(m: RawModel, g: Assignment, t: Term) -> int:
     """Value of a term: the assignment on variables, the world's constant
     interpretation on constants."""
     if isinstance(t, Var):
         return g(t.id)
-    raw = _raw(m)
     try:
-        return raw.const_interp[g.world][t.name]
+        return m.const_interp[g.world][t.name]
     except KeyError:
         raise ValueError(f"undeclared constant {t.name!r}") from None
 
 
-def eta_compose(m: Model | RawModel, w: int, u: int, g: Assignment) -> Assignment:
+def eta_compose(m: RawModel, w: int, u: int, g: Assignment) -> Assignment:
     """Push a w-assignment to u through eta[w][u], pointwise."""
-    row = _raw(m).frame.eta[w][u]
+    row = m.frame.eta[w][u]
     return Assignment(u, row[g.default], {x: row[v] for x, v in g.overrides.items()})
 
 
@@ -335,7 +319,7 @@ def xaltern_support(
 # -- satisfaction ----------------------------------------------------
 
 
-def sat(m: Model | RawModel, w: int, g: Assignment, phi: Formula) -> bool:
+def sat(m: RawModel, w: int, g: Assignment, phi: Formula) -> bool:
     """Truth of a formula at a world under an assignment.
 
     Verum is true; a predicate atom holds when the tuple of term values
@@ -346,10 +330,9 @@ def sat(m: Model | RawModel, w: int, g: Assignment, phi: Formula) -> bool:
     assignment is left as it was, also when `sat` raises.  A constant the
     model does not interpret raises `ValueError`, as in `assign_term`.
     """
-    raw = m.raw if isinstance(m, Model) else m
     env = dict(g.overrides)
     try:
-        return _holds(raw, w, g.default, env, phi)
+        return _holds(m, w, g.default, env, phi)
     except KeyError as e:  # a constant's, the one lookup in `_holds` that can miss
         raise ValueError(f"undeclared constant {e.args[0]!r}") from None
 
@@ -413,14 +396,13 @@ def _holds(raw: RawModel, w: int, default: int, env: dict[int, int], phi: Formul
 # -- model surgery ---------------------------------------------------
 
 
-def replace_interp(m: Model | RawModel, w: int, c: str, d: int) -> RawModel:
+def replace_interp(raw: RawModel, w: int, c: str, d: int) -> RawModel:
     """Reinterpret constant ``c`` as ``d`` at ``w`` and as ``eta[w][u](d)``
     at every other world ``u``; all else unchanged.
 
     The result is raw: it is generally not concordant unless ``w`` can
     reach every other world, which `restrict_to_cone` arranges.
     """
-    raw = _raw(m)
     if c not in raw.sig.constants:
         raise ValueError(f"undeclared constant {c!r}")
     if not 0 <= d < raw.frame.domains[w]:
@@ -432,15 +414,14 @@ def replace_interp(m: Model | RawModel, w: int, c: str, d: int) -> RawModel:
     return RawModel(raw.sig, raw.frame, new_ci, raw.pred_interp)
 
 
-def cone_worlds(m: Model | RawModel, w: int) -> list[int]:
+def cone_worlds(m: RawModel, w: int) -> list[int]:
     """The world and its successors, in ascending index order."""
-    return sorted({w, *_raw(m).frame.succ[w]})
+    return sorted({w, *m.frame.succ[w]})
 
 
-def restrict_to_cone(m: Model | RawModel, w: int) -> RawModel:
+def restrict_to_cone(raw: RawModel, w: int) -> RawModel:
     """Drop every world other than ``w`` and its successors, reindexing
     the survivors in ascending order."""
-    raw = _raw(m)
     keep = cone_worlds(raw, w)
     index = {old: new for new, old in enumerate(keep)}
     frame = RawFrame(
@@ -461,29 +442,28 @@ def restrict_to_cone(m: Model | RawModel, w: int) -> RawModel:
     )
 
 
-def restrict_replace(m: Model | RawModel, w: int, c: str, d: int) -> Model:
+def restrict_replace(m: RawModel, w: int, c: str, d: int) -> Model:
     """Reinterpret ``c`` as ``d`` at ``w`` and restrict to ``w``'s cone.
 
-    For an adequate input the result is adequate again; revalidation
-    failing indicates an implementation bug.
+    A raw input that is not a `Model` is validated first.  For an adequate
+    input the result is adequate again; revalidation failing indicates an
+    implementation bug.
     """
-    if isinstance(m, RawModel):
+    if not isinstance(m, Model):
         m = validate_model(m)
-    out = restrict_to_cone(replace_interp(m, w, c, d), w)
-    report = check_adequacy(out)
-    if not report.ok:
+    try:
+        return validate_model(restrict_to_cone(replace_interp(m, w, c, d), w))
+    except InadequateModelError as e:
         raise InternalError(
-            f"restriction after constant replacement lost adequacy: {report.summary()}"
-        )
-    return Model(out)
+            f"restriction after constant replacement lost adequacy: {e.report.summary()}"
+        ) from None
 
 
 # -- model file format -----------------------------------------------
 
 
-def dump_model(m: Model | RawModel) -> dict[str, Any]:
+def dump_model(raw: RawModel) -> dict[str, Any]:
     """Serialize to the JSON model-file structure."""
-    raw = _raw(m)
     return {
         "signature": signature_to_json(raw.sig),
         "worlds": raw.frame.worlds,
@@ -503,7 +483,7 @@ def dump_model(m: Model | RawModel) -> dict[str, Any]:
     }
 
 
-def dumps_model(m: Model | RawModel) -> str:
+def dumps_model(m: RawModel) -> str:
     return json.dumps(dump_model(m), indent=2)
 
 

@@ -1,6 +1,7 @@
 import sys
 import weakref
 
+import pytest
 from hypothesis import given
 
 from qrc1 import (
@@ -271,3 +272,36 @@ def test_generalize_returns_the_formula_itself_when_the_term_is_absent(phi, t, x
         assert out is phi
     elif not isinstance(t, Var) or t.id != x:
         assert out != phi
+
+
+def test_a_value_class_may_extend_another():
+    from qrc1.language import _Value
+
+    class Base(_Value):
+        a: int
+        b: int
+
+        def __post_init__(self):
+            if self.a < 0:
+                raise ValueError("negative")
+
+    class Same(Base):
+        pass
+
+    class More(Base):
+        c: int = 3
+
+    assert Same.__match_args__ == ("a", "b") and Same.__slots__ == ()
+    assert More.__match_args__ == ("a", "b", "c") and More.__slots__ == ("c",)
+    assert Same(1, 2) == Same(1, 2) and Same(1, 2) != Same(1, 5)
+    assert Same(1, 2) != Base(1, 2) and Base(1, 2) != Same(1, 2)
+    assert hash(Same(1, 2)) == hash(Base(1, 2)) == hash((1, 2))
+    assert More(1, 2) == More(a=1, b=2, c=3) and hash(More(1, 2)) == hash((1, 2, 3))
+    assert repr(More(1, 2, c=4)).endswith("More(a=1, b=2, c=4)")
+    assert (More(1, 2, 4).c, More(1, 2, 4).b) == (4, 2)
+    for value in (Same(1, 2), More(1, 2)):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.a = 0
+    with pytest.raises(ValueError, match="negative"):
+        More(-1, 2)

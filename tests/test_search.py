@@ -419,25 +419,43 @@ def test_decide_proves_a_long_quantifier_prefix_past_the_root_check(problem):
     assert took < 0.25
 
 
+# proved by Top at depth 1, but every quantifier binds a variable its
+# body uses, so the root's two-element tree would walk 2^20 leaves
+_NAMES20 = [f"a{i}" for i in range(20)]
+_AXIOM20 = ("pred P/20. " + "".join(f"A {v} . " for v in _NAMES20)
+            + f"P({', '.join(_NAMES20)}) ~> T")
+_AXIOMS = ("P(x) ~> P(x)", "P(x) & Q(x) ~> Q(x)", "<> <> P(x) ~> <> P(x)")
+
+
+def _no_tree(*args):
+    raise AssertionError("a tree was built")
+
+
 def test_decide_proves_an_axiom_instance_before_any_tree(monkeypatch):
-    # proved by Top at depth 1, but every quantifier binds a variable its
-    # body uses, so the root's two-element tree would walk 2^20 leaves
     from qrc1 import search
 
-    names = [f"a{i}" for i in range(20)]
-    problem = ("pred P/20. " + "".join(f"A {v} . " for v in names)
-               + f"P({', '.join(names)}) ~> T")
-    sig, goal = parse_problem(problem)
+    sig, goal = parse_problem(_AXIOM20)
     out, took = _elapsed(decide, goal, sig, SearchBounds(deadline=0.25))
     assert isinstance(out, Proved) and out.derivation.rule == "Top"
     assert took < 0.25 + DEADLINE_SLACK
 
-    def no_tree(*args):
-        raise AssertionError("a tree was built")
-
-    monkeypatch.setattr(search, "_no_countermodel", no_tree)
-    for text in ("P(x) ~> P(x)", "P(x) & Q(x) ~> Q(x)", "<> <> P(x) ~> <> P(x)"):
+    monkeypatch.setattr(search, "_no_countermodel", _no_tree)
+    for text in _AXIOMS:
         assert isinstance(decide(seq(text), SIG), Proved), text
+
+
+def test_refute_answers_an_axiom_instance_before_any_tree(monkeypatch):
+    # by soundness an axiom instance has no countermodel
+    from qrc1 import search
+
+    monkeypatch.setattr(search, "_no_countermodel", _no_tree)
+    none = Exhausted("no countermodel within bounds")
+    sig, goal = parse_problem(_AXIOM20)
+    out, took = _elapsed(refute, sig, goal, SearchBounds(deadline=0.25))
+    assert out == none
+    assert took < 0.25 + DEADLINE_SLACK
+    for text in _AXIOMS:
+        assert refute(SIG, seq(text)) == none, text
 
 
 @pytest.mark.parametrize("command", ["decide", "refute"])
@@ -537,7 +555,12 @@ def _run_capped(argv, cap):
     # at 10^9 elements, the antecedent's quantifier expanded all at once
     # asks for 10^9 stack entries and exits 70 under the 1 GiB cap
     ("pred P/1. A x . P(x) ~> P(c)", ["--max-domain", "1000000000"], 1 << 30),
-], ids=["leaf-atoms", "huge-domain"])
+    # the antecedent's tree, a chain of six worlds, refutes the sequent, so
+    # enumeration runs, and meets the deadline long before it reaches six
+    # worlds; nothing the size of the 10^9 world bound is built up front
+    ("pred P/1. <> <> <> <> <> P(x) ~> <> <> <> <> <> <> P(x)",
+     ["--max-worlds", "1000000000"], 1 << 28),
+], ids=["leaf-atoms", "huge-domain", "huge-worlds"])
 def test_tree_check_meets_its_deadline_under_a_memory_cap(problem, flags, cap):
     argv = ["countermodel", problem, "--json", "--timeout", "1.0", *flags]
     start = time.monotonic()

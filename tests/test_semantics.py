@@ -124,6 +124,21 @@ def test_validate_model_raises_on_failure():
         validate_model(raw)
 
 
+def test_a_validated_model_is_the_raw_model_it_checked():
+    from qrc1 import Model
+
+    raw = chain3()
+    m = validate_model(raw)
+    assert isinstance(m, Model) and isinstance(m, RawModel)
+    assert m.__match_args__ == raw.__match_args__
+    assert all(getattr(m, f) is getattr(raw, f) for f in raw.__match_args__)
+    assert type(m.raw) is RawModel and m.raw == raw
+    # == is by exact type, so a Model never equals the raw model it checked
+    assert m != raw and m == validate_model(raw)
+    with pytest.raises(InadequateModelError):
+        validate_model(chain3(perturb_eta02=(0, 0)))
+
+
 def _perturbed(raw, rng):
     """`raw` with one to six random edits: an edge toggled, an eta entry
     re-pointed, or a constant moved within its world's domain."""

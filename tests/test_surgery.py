@@ -151,6 +151,27 @@ def test_restrict_replace_always_revalidates():
         assert check_adequacy(out).ok
 
 
+def test_restrict_replace_validates_only_a_model_not_yet_validated(monkeypatch):
+    from qrc1 import semantics
+
+    # c is discordant along 0R1; reinterpreting it at 0 would repair that,
+    # so only checking the input shows that it was not adequate
+    frame = RawFrame(2, frozenset({(0, 1)}), (2, 2), identity_eta((2, 2)))
+    bad = RawModel(PSIG, frame, ({"c": 0, "d": 0}, {"c": 1, "d": 0}), ({}, {}))
+    with pytest.raises(semantics.InadequateModelError):
+        restrict_replace(bad, 0, "c", 0)
+
+    checked = []
+    check = semantics.check_adequacy
+    monkeypatch.setattr(semantics, "check_adequacy", lambda m: checked.append(m) or check(m))
+    raw = fan_model()
+    m = validate_model(raw)
+    for given, checks in ((m, 1), (raw, 2)):
+        checked.clear()
+        out = restrict_replace(given, 0, "c", 0)
+        assert len(checked) == checks and out == restrict_replace(m, 0, "c", 0)
+
+
 # -- the substitution-style lemmas -----------------------------------------
 
 
