@@ -5,8 +5,10 @@ Countermodels are sought in the class that suffices for refutation:
 constant domain, identity compatibility functions, and an irreflexive
 transitive relation.  Candidates are enumerated in a fixed order, by
 increasing (world count, domain size), then relation bitmask, then
-constant values, then predicate-table bitmasks with the rightmost slot
-varying fastest, so any witness found is a reproducible golden output.
+predicate-table bitmasks with the rightmost slot varying fastest, and
+each is checked under the valuations of the sequent's free variables and
+constants up to relabelling, as the tree check below values them
+(`_labellings`), so any witness found is a reproducible golden output.
 In this class a valuation of the variables is the same at every world,
 so one evaluator, `_evaluator`, checks candidates and the trees below
 alike on world bitmasks: a formula denotes the set of worlds where it
@@ -84,8 +86,9 @@ has no countermodel; otherwise both run the two-element check on the
 root, and `decide` runs proof search on a root that it clears.  Both end
 in one refutation step, `_refutation`: a root that the check cleared goes
 to the tree check at `max_domain`, and a root that either check refutes
-to enumeration, which runs to its first hit.  A two-element refutation gives one with `max_domain` elements, by
-the copying argument above, and no derivation, by soundness.
+to enumeration, which returns its first hit.  A two-element refutation
+gives one with `max_domain` elements, by the copying argument above, and
+no derivation, by soundness.
 """
 
 from __future__ import annotations
@@ -93,7 +96,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict
-from itertools import chain, count, islice, product
+from itertools import chain, count, islice
 
 from .calculus import (
     Derivation,
@@ -251,23 +254,23 @@ def _frames(n: int, keep: list) -> Iterator[tuple[frozenset[tuple[int, int]], li
             yield rel, diam
 
 
-def _evaluator(size: int, full: int, tables: dict, consts: dict,
+def _evaluator(size: int, full: int, tables: dict,
                diamond: Callable[[int], int] | None,
                stop_at: float | None) -> Callable[[Formula, dict], int]:
     """`holds(phi, env)`: the worlds of `full` where phi holds under `env`,
-    with `size` elements, ``tables[name][i]`` the worlds where the i-th
-    tuple in `product` order is in `name`, ``consts[c]`` the value of
-    constant c, and `diamond(bits)` the worlds with a successor in `bits`
-    (None if no world has one: a diamond's body then goes unevaluated).
-    Raises `_Deadline` once the clock passes `stop_at`, read before a
-    quantifier's first element and every 64th."""
+    which maps variable ids and constant names to elements, with `size`
+    elements, ``tables[name][i]`` the worlds where the i-th tuple in
+    `product` order is in `name`, and `diamond(bits)` the worlds with a
+    successor in `bits` (None if no world has one: a diamond's body then
+    goes unevaluated).  Raises `_Deadline` once the clock passes
+    `stop_at`, read before a quantifier's first element and every 64th."""
 
-    def holds(phi: Formula, env: dict[int, int]) -> int:
+    def holds(phi: Formula, env: dict[int | str, int]) -> int:
         kind = type(phi)
         if kind is Pred:
             i = 0
             for a in phi.args:
-                i = i * size + (env[a.id] if type(a) is Var else consts[a.name])
+                i = i * size + env[a.id if type(a) is Var else a.name]
             return tables[phi.name][i]
         # each case stops as soon as no world can be left in the set
         if kind is And:
@@ -289,93 +292,90 @@ def _evaluator(size: int, full: int, tables: dict, consts: dict,
     return holds
 
 
-def _candidates(
+def _first_countermodel(
     sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None = None
-) -> Iterator[tuple[RawModel, int, Assignment] | None]:
-    """One item per candidate model, in enumeration order: None, or the
-    model with the first world, then the first valuation of the free
-    variables in `product` order (default element 0), where the
-    antecedent holds and the consequent fails.  Raises `_Deadline` once
-    the clock passes `stop_at`, read before every valuation, since one
-    candidate has `size ** len(variables)` of them, and by `_evaluator`.
+) -> tuple[RawModel, int, Assignment] | None:
+    """The first candidate model in enumeration order with a world where
+    the antecedent holds and the consequent fails, with the first such
+    world and the first valuation of the sequent's names there, or None.
+    Raises `_Deadline` once the clock passes `stop_at`, read before every
+    valuation and by `_evaluator`.
 
-    `_evaluator` checks a valuation with the frame's diamond table.  The
-    predicate tables of a candidate are read off one counter, and a
-    `RawModel` is built only for a hit.
+    The names are valued up to relabelling only, by `_labellings`.  At a
+    fixed world count, domain size and relation, the counter below runs
+    through every predicate table, and renaming the elements turns any
+    countermodel into one whose valuation is a restricted growth string;
+    constants that the sequent does not name take element 0.  So the
+    first (world count, domain size, relation) with a countermodel is the
+    first with a hit.  A `RawModel` is built only for a hit.
     """
     pred_names = sorted(
         {f.name for f in chain(subformulas(seq.ante), subformulas(seq.cons))
          if isinstance(f, Pred)}
     )
-    const_names = sorted(consts_of(seq.ante) | consts_of(seq.cons))
     other_preds = [p for p in sig.predicates if p not in pred_names]
-    other_consts = [c for c in sig.constants if c not in const_names]
     variables = sorted(fv(seq.ante) | fv(seq.cons))
-
+    # keyed as `_no_countermodel` keys them: variable ids, then constant names
+    names: list[int | str] = [*variables, *sorted(consts_of(seq.ante) | consts_of(seq.cons))]
     for n in range(1, bounds.max_worlds + 1):
         full = (1 << n) - 1
+        slots = [(w, name) for w in range(n) for name in pred_names]
         seen: list[tuple[frozenset[tuple[int, int]], list[int]]] = []
         for size in range(1, bounds.max_domain + 1):
-            ident = tuple(range(size))
-            eta = tuple(tuple(ident for _ in range(n)) for _ in range(n))
-            domains = (size,) * n
-            pools = {
-                name: tuple(product(range(size), repeat=sig.predicates[name]))
-                for name in pred_names
-            }
-            # tables[name][i]: the worlds where pool[i] is in name.  Bit k of
-            # the counter owns one (world, tuple) entry, the last slot taking
-            # the lowest bits, so counting up runs through the tables in
-            # `product` order with the rightmost slot fastest.  Each count
-            # toggles the entries of the bits it flips; the tables start as
-            # all ones, the state just before a count from 0.
-            slots = [(w, name) for w in range(n) for name in pred_names]
-            tables = {name: [full] * len(pool) for name, pool in pools.items()}
-            owner = [
-                (tables[name], i, 1 << w)
-                for w, name in reversed(slots)
-                for i in range(len(pools[name]))
-            ]
-            last = (1 << len(owner)) - 1
             # the first size walks the relations lazily and keeps them for the rest
             for rel, diam in _frames(n, seen) if size == 1 else seen:
-                for cvals in product(range(size), repeat=len(const_names)):
-                    cmap = dict(zip(const_names, cvals))
-                    cmap.update({c: 0 for c in other_consts})
-                    holds = _evaluator(
-                        size, full, tables, cmap, diam.__getitem__ if rel else None, stop_at)
-                    for counter in range(1 << len(owner)):
-                        # counting up flips a run of low bits
-                        for row, i, bit in owner[:(counter ^ last).bit_length()]:
-                            row[i] ^= bit
-                        last = counter
-                        hit: tuple[int, dict[int, int]] | None = None
-                        for values in product(range(size), repeat=len(variables)):
-                            if stop_at is not None and time.monotonic() > stop_at:
-                                raise _Deadline
-                            env = dict(zip(variables, values))
-                            bad = holds(seq.ante, env)
-                            if bad:
-                                bad &= ~holds(seq.cons, env)
-                            if bad:
-                                first = (bad & -bad).bit_length() - 1
-                                if hit is None or first < hit[0]:
-                                    hit = (first, env)
-                                    if first == 0:
-                                        break
-                        if hit is None:
-                            yield None
-                            continue
-                        preds: list[dict[str, frozenset[tuple[int, ...]]]] = [
-                            {p: frozenset() for p in other_preds} for _ in range(n)
-                        ]
-                        for w, name in slots:
-                            preds[w][name] = frozenset(
-                                t for t, worlds in zip(pools[name], tables[name]) if worlds >> w & 1
-                            )
-                        frame = RawFrame(n, rel, domains, eta)
-                        raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
-                        yield raw, hit[0], Assignment(hit[0], 0, hit[1])
+                # tables[name][i]: the worlds where the i-th tuple is in name.
+                # Bit k of the counter owns one (table, index, world bit) entry,
+                # the last slot taking the lowest bits, so counting up from the
+                # empty tables runs through them in `product` order with the
+                # rightmost slot fastest.  Each count toggles the entries of the
+                # bits it flips, each listed when first flipped.
+                tables = {name: defaultdict(int) for name in pred_names}
+                entries = ((tables[name], i, 1 << w) for w, name in reversed(slots)
+                           for i in range(size ** sig.predicates[name]))
+                owner: list[tuple[defaultdict[int, int], int, int]] = []
+                holds = _evaluator(size, full, tables, diam.__getitem__ if rel else None, stop_at)
+                last = 0
+                for counter in count():
+                    flips = (counter ^ last).bit_length()  # a run of low bits
+                    if flips > len(owner):
+                        owner.extend(islice(entries, 1))
+                        if flips > len(owner):
+                            break  # past the last tables
+                    for row, i, bit in owner[:flips]:
+                        row[i] ^= bit
+                    last = counter
+                    hit: tuple[int, dict[int | str, int]] | None = None
+                    for labels in _labellings(len(names), size):
+                        if stop_at is not None and time.monotonic() > stop_at:
+                            raise _Deadline
+                        env = dict(zip(names, labels))
+                        bad = holds(seq.ante, env)
+                        if bad:
+                            bad &= ~holds(seq.cons, env)
+                        if bad:
+                            first = (bad & -bad).bit_length() - 1
+                            if hit is None or first < hit[0]:
+                                hit = (first, env)
+                                if first == 0:
+                                    break
+                    if hit is None:
+                        continue
+                    w, env = hit
+                    preds: list[dict[str, frozenset[tuple[int, ...]]]] = [
+                        {p: frozenset() for p in other_preds} for _ in range(n)
+                    ]
+                    for u, name in slots:  # each tuple decoded from its index
+                        digits = range(sig.predicates[name] - 1, -1, -1)
+                        preds[u][name] = frozenset(
+                            tuple(i // size ** j % size for j in digits)
+                            for i, worlds in tables[name].items() if worlds >> u & 1
+                        )
+                    frame = RawFrame(n, rel, (size,) * n, ((tuple(range(size)),) * n,) * n)
+                    cmap = {c: env.get(c, 0) for c in sig.constants}
+                    raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
+                    return raw, w, Assignment(w, 0, {x: env[x] for x in variables})
+    return None
 
 
 def _labellings(k: int, d: int) -> Iterator[list[int]]:
@@ -453,8 +453,6 @@ def _no_countermodel(
     diamond marks ancestors.  With each atom kept once (`_Asserted`) and
     one pending element per open quantifier, a tree takes memory linear
     in its worlds and atoms, and none up front for a large `size`.
-    Variables and constants share one valuation dict, keyed by variable
-    id and by constant name.
     """
     names: list[int | str] = [
         *sorted(fv(seq.ante) | fv(seq.cons)),
@@ -508,7 +506,7 @@ def _no_countermodel(
                 if e + 1 < size and phi.var in fv(phi.body):
                     todo.append((phi, w, local, e + 1))
                 todo.append((phi.body, w, {**local, phi.var: e}, 0))
-        holds = _evaluator(size, (1 << len(parent)) - 1, tables, env,
+        holds = _evaluator(size, (1 << len(parent)) - 1, tables,
                            diamond if len(parent) > 1 else None, stop_at)
         if not holds(seq.cons, env) & 1:
             return False
@@ -554,12 +552,12 @@ def _refutation(
     """The refutation step, given the two-element check's verdict.  A
     sequent that it cleared goes to the tree check at `max_domain`, and
     None means that this check cleared it too.  Otherwise a tree has
-    refuted the sequent, and the step returns the first hit of
-    `_candidates`, validated and re-verified with `sat`, or Exhausted if
-    every countermodel needs more worlds than the bounds allow."""
+    refuted the sequent, and the step returns `_first_countermodel`'s
+    hit, validated and re-verified with `sat`, or Exhausted if every
+    countermodel needs more worlds than the bounds allow."""
     if cleared and _no_countermodel(seq, bounds.max_domain, stop_at):
         return None
-    hit = next(filter(None, _candidates(sig, seq, bounds, stop_at)), None)
+    hit = _first_countermodel(sig, seq, bounds, stop_at)
     if hit is None:
         return Exhausted(
             f"refutable, but every countermodel with at most {bounds.max_domain} "
@@ -575,12 +573,13 @@ def refute(
     sig: Signature, seq: Sequent, bounds: SearchBounds = SearchBounds()
 ) -> Refuted | Exhausted:
     """The first constant-domain irreflexive countermodel in enumeration
-    order, or Exhausted, saying what ended the search: the deadline, a
-    tree showing that no countermodel has at most `bounds.max_domain`
-    elements (then enumeration is skipped), or, when a tree refutes the
-    sequent, a world bound too small for any countermodel.  An axiom
-    instance, which by soundness has none, is answered before any tree;
-    otherwise it runs the two-element check, then the refutation step."""
+    order, its names valued up to relabelling, or Exhausted, saying what
+    ended the search: the deadline, a tree showing that no countermodel
+    has at most `bounds.max_domain` elements (then enumeration is
+    skipped), or, when a tree refutes the sequent, a world bound too small
+    for any countermodel.  An axiom instance, which by soundness has none,
+    is answered before any tree; otherwise it runs the two-element check,
+    then the refutation step."""
     if _axiom_leaf(seq.ante, seq.cons) is not None:
         return Exhausted("no countermodel within bounds")
     stop_at = _stop_at(bounds)

@@ -79,7 +79,7 @@ atoms = st.one_of(
 )
 
 # valid, and past proof search's reach (its proof cuts on <> <> Q(x)); with
-# 17 free variables one candidate at domain 2 checks 2**17 valuations
+# 17 free variables one candidate at domain 2 checks 2**16 valuations
 MANY_VARIABLES = (
     "pred P/1. pred Q/1. pred R/1. <> (P(x) & <> Q(x)) & "
     + " & ".join(f"R({v})" for v in "abcdefghijklmnop")
@@ -105,6 +105,19 @@ BATTERY = [
     ("A x . S(x, x) ~> S(y, y)", Proved),
     ("P(x) ~> <> P(x)", Refuted),
 ]
+
+
+def small_formulas(n: int, x: int = 0) -> list[Formula]:
+    """Every formula of size at most n over T, P(x) and P(c) with &, <>
+    and A x, by size, where an atom and each connective count 1: 3, 9
+    and 30 of them for n = 1, 2, 3."""
+    by_size = [[], [TOP, Pred("P", (Var(x),)), Pred("P", (Const("c"),))]]
+    for k in range(2, n + 1):
+        below = by_size[k - 1]
+        by_size.append([Diam(f) for f in below] + [All(x, f) for f in below] + [
+            And(a, b) for i in range(1, k - 1) for a in by_size[i] for b in by_size[k - 1 - i]
+        ])
+    return [f for level in by_size for f in level]
 
 
 formulas = st.recursive(
@@ -308,10 +321,12 @@ def consts_of_reference(phi) -> frozenset[str]:
 
 # -- countermodel enumeration oracle ---------------------------------------
 #
-# The enumerator that `search._candidates` replaced, kept verbatim: a
+# The enumerator that `search._first_countermodel` replaced, kept verbatim: a
 # `RawModel` per candidate, scanned one world and valuation at a time through
-# `sat`.  `candidates_reference` yields, per candidate, what `_candidates`
-# must yield: None, or the model with its first refuting world and assignment.
+# `sat`.  `candidates_reference` yields, per candidate, None, or the model with
+# its first refuting world and assignment.  It values every name in every way,
+# `_first_countermodel` only up to relabelling, so their first hits share a
+# frame but may differ in their tables, world and assignment.
 
 
 def _irreflexive_transitive(n: int) -> Iterator[frozenset[tuple[int, int]]]:

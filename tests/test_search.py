@@ -10,7 +10,9 @@ from itertools import islice
 
 import pytest
 
-from conftest import BATTERY, BATTERY_SIG, MANY_VARIABLES, candidates_reference, identity_eta
+from conftest import (
+    BATTERY, BATTERY_SIG, MANY_VARIABLES, candidates_reference, identity_eta, small_formulas,
+)
 
 import qrc1
 from qrc1 import (
@@ -52,8 +54,8 @@ from qrc1.search import (
     _Deadline,
     _ProofSearch,
     _axiom_leaf,
-    _candidates,
     _clears,
+    _first_countermodel,
     _no_countermodel,
     _one_apart,
     _verify_refutation,
@@ -330,11 +332,10 @@ def test_deadline_is_read_between_the_valuations_of_a_candidate():
     assert out is None
     assert took < 0.3 + DEADLINE_SLACK
     # the enumeration alone, past the tree check: one candidate at domain 2
-    # has 2**17 valuations
+    # has 2**16 valuations of its 17 names up to relabelling
     start = time.monotonic()
     with pytest.raises(_Deadline):
-        for _ in _candidates(sig, goal, bounds, start + 0.3):
-            pass
+        _first_countermodel(sig, goal, bounds, start + 0.3)
     assert time.monotonic() - start < 0.3 + DEADLINE_SLACK
 
 
@@ -560,7 +561,12 @@ def _run_capped(argv, cap):
     # worlds; nothing the size of the 10^9 world bound is built up front
     ("pred P/1. <> <> <> <> <> P(x) ~> <> <> <> <> <> <> P(x)",
      ["--max-worlds", "1000000000"], 1 << 28),
-], ids=["leaf-atoms", "huge-domain", "huge-worlds"])
+    # enumeration reaches P/24 at one world and two elements, 2**24 table
+    # entries; laid out up front they exit 70 under the 256 MiB cap, and
+    # listed as the counter first flips them they take nothing
+    ("pred P/24. <> P(" + ", ".join(["x"] * 24) + ") ~> <> <> P(" + ", ".join(["x"] * 24) + ")",
+     [], 1 << 28),
+], ids=["leaf-atoms", "huge-domain", "huge-worlds", "huge-arity"])
 def test_tree_check_meets_its_deadline_under_a_memory_cap(problem, flags, cap):
     argv = ["countermodel", problem, "--json", "--timeout", "1.0", *flags]
     start = time.monotonic()
@@ -653,22 +659,21 @@ def test_decide_returns_what_its_two_halves_return():
 
 def test_decide_never_enumerates_a_sequent_the_tree_clears(monkeypatch):
     # proved at depth 2 (Nec over AndEl); the tree check clears the sequent,
-    # so no countermodel candidate is ever pulled
+    # so countermodels are never enumerated
     from qrc1 import search
 
-    real = search._candidates
-    pulled = 0
+    real = search._first_countermodel
+    calls = 0
 
     def counting(*args):
-        nonlocal pulled
-        for item in real(*args):
-            pulled += 1
-            yield item
+        nonlocal calls
+        calls += 1
+        return real(*args)
 
-    monkeypatch.setattr(search, "_candidates", counting)
+    monkeypatch.setattr(search, "_first_countermodel", counting)
     out = decide(seq("<> (P(x) & Q(x)) ~> <> P(x)"), SIG, SearchBounds())
     assert isinstance(out, Proved)
-    assert pulled == 0
+    assert calls == 0
 
 
 def test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out():
@@ -690,23 +695,22 @@ def test_proof_search_gives_up_at_its_deadline():
     assert time.monotonic() - started < 2
 
 
-def _assert_candidates_agree(sig, goal, bounds):
-    pairs = zip(candidates_reference(sig, goal, bounds), _candidates(sig, goal, bounds), strict=True)
-    for i, (old, new) in enumerate(pairs):
-        where = f"{goal} candidate {i}"
-        if old is None or new is None:
-            assert old is new, where
-            continue
-        assert dump_model(new[0]) == dump_model(old[0]), where
-        assert new[1] == old[1], where
-        assert new[2].default == old[2].default, where
-        assert dict(new[2].overrides) == dict(old[2].overrides), where
+def _assert_first_hits_agree(sig, goal, bounds):
+    # the reference values every name in every way, enumeration only up to
+    # relabelling: the first hits share their frame, not their tables
+    old = next(filter(None, candidates_reference(sig, goal, bounds)), None)
+    new = _first_countermodel(sig, goal, bounds)
+    if old is None or new is None:
+        assert old is new, goal
+        return
+    assert new[0].frame == old[0].frame, goal
+    _verify_refutation(validate_model(new[0]), new[1], new[2], goal)
 
 
-def test_candidates_agree_with_the_reference_enumerator():
+def test_first_countermodel_agrees_with_the_reference_enumerator():
     # whole candidate spaces of at most a few thousand models each
     for text, _ in BATTERY:
-        _assert_candidates_agree(BATTERY_SIG, parse_sequent(text, BATTERY_SIG), SearchBounds(2, 2))
+        _assert_first_hits_agree(BATTERY_SIG, parse_sequent(text, BATTERY_SIG), SearchBounds(2, 2))
     rng = random.Random(4)
     for sig, bounds, count in (
         (signature(["c"], {"P": 1}), SearchBounds(2, 2), 130),
@@ -716,7 +720,30 @@ def test_candidates_agree_with_the_reference_enumerator():
         for _ in range(count):
             ante = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
-            _assert_candidates_agree(sig, Sequent(ante, cons), bounds)
+            _assert_first_hits_agree(sig, Sequent(ante, cons), bounds)
+
+
+def test_decide_on_every_sequent_of_size_at_most_three():
+    # 900 sequents over T, P(x) and P(c): every one is decided at the default
+    # bounds, and at two worlds and two elements Refuted exactly when the
+    # reference finds a countermodel, in the same frame
+    sig = signature(["c"], {"P": 1})
+    small = small_formulas(3)
+    bounds = SearchBounds(2, 2)
+    for ante in small:
+        for cons in small:
+            goal = Sequent(ante, cons)
+            out = decide(goal, sig)
+            if isinstance(out, Proved):
+                assert check(out.derivation, used_signature(sig, out.derivation)) == goal
+            else:
+                assert isinstance(out, Refuted), (goal, out)
+                _verify_refutation(out.model, out.world, out.assignment, goal)
+            out = decide(goal, sig, bounds)
+            old = next(filter(None, candidates_reference(sig, goal, bounds)), None)
+            assert isinstance(out, Refuted) == (old is not None), goal
+            if old is not None:
+                assert out.model.frame == old[0].frame, goal
 
 
 def _reference_hit(sig, goal, bounds):
