@@ -15,10 +15,10 @@ alike on world bitmasks: a formula denotes the set of worlds where it
 holds, conjunction is bitwise and, a diamond gives the worlds with a
 successor in its body's set, and a quantifier ands its body's sets over
 the domain.  The evaluator reads the clock at a quantifier's first
-element and every 64th; enumeration also reads it before every
-valuation, and the tree check every 64 tree nodes and at each diamond.
-A candidate's check is as untrusted as the rest of search: a hit is
-built as a `RawModel`, validated, and re-verified with `sat`.
+element and every 64th, enumeration also before every valuation, and
+the tree check at each tree's first node and every 64th and at each
+diamond.  A candidate's check is as untrusted as the rest of search: a
+hit is built as a `RawModel`, validated, and re-verified with `sat`.
 
 Before enumerating, `_no_countermodel` may show that no model of the
 class with at most `max_domain` elements refutes the sequent, whatever
@@ -31,11 +31,11 @@ its world count.  The argument:
   once, a diamond's witness u at t goes to the successor h(u) of h(t),
   and a quantifier ranges over the same elements on both sides.
 - Fix a domain size d and a valuation v of the sequent's free variables
-  and constants.  The antecedent's tree has a root, one fresh child per
-  diamond instance, each quantifier expanded over all d elements, only
-  the atoms the antecedent asserts, and the transitive closure of the
-  edges.  It is a model of the class, and the antecedent holds at its
-  root.
+  and constants.  The antecedent's tree, built by `_tree`, has a root,
+  one fresh child per diamond instance, each quantifier expanded over
+  all d elements, only the atoms the antecedent asserts, and the
+  transitive closure of the edges.  It is a model of the class, and the
+  antecedent holds at its root.
 - Let M refute the sequent at world w under v.  Send the root to w, and
   each child, made for a diamond whose body holds in M at the image of
   its parent, to a successor there where that body holds; one exists
@@ -314,9 +314,7 @@ def _first_countermodel(
          if isinstance(f, Pred)}
     )
     other_preds = [p for p in sig.predicates if p not in pred_names]
-    variables = sorted(fv(seq.ante) | fv(seq.cons))
-    # keyed as `_no_countermodel` keys them: variable ids, then constant names
-    names: list[int | str] = [*variables, *sorted(consts_of(seq.ante) | consts_of(seq.cons))]
+    names = _names(seq)
     for n in range(1, bounds.max_worlds + 1):
         full = (1 << n) - 1
         slots = [(w, name) for w in range(n) for name in pred_names]
@@ -374,7 +372,7 @@ def _first_countermodel(
                     frame = RawFrame(n, rel, (size,) * n, ((tuple(range(size)),) * n,) * n)
                     cmap = {c: env.get(c, 0) for c in sig.constants}
                     raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
-                    return raw, w, Assignment(w, 0, {x: env[x] for x in variables})
+                    return raw, w, Assignment(w, 0, {x: env[x] for x in names if type(x) is int})
     return None
 
 
@@ -432,37 +430,68 @@ class _Asserted(dict):
         return int(marks[::-1].translate(_BITS), 2)
 
 
+def _names(seq: Sequent) -> list[int | str]:
+    """The keys of a valuation: free variable ids, then constant names, each sorted."""
+    ante, cons = seq.ante, seq.cons
+    return [*sorted(fv(ante) | fv(cons)), *sorted(consts_of(ante) | consts_of(cons))]
+
+
+def _tree(seq: Sequent, size: int, env: dict, stop_at: float | None) -> tuple[list[int], dict]:
+    """The antecedent's tree with `size` elements under `env`: `parent[u]`
+    is the world whose diamond made u, in creation order from the root 0
+    (parent -1), and the tables list each atom's worlds (`_Asserted`).
+    One pending element per open quantifier keeps its memory linear in its
+    worlds and atoms, none up front for a large `size`.  Raises `_Deadline`
+    once the clock passes `stop_at`, read at the first node and every 64th."""
+    tables: defaultdict[str, _Asserted] = defaultdict(_Asserted)
+    parent = [-1]
+    # e: the element that a quantifier binds next
+    todo: list[tuple[Formula, int, dict, int]] = [(seq.ante, 0, env, 0)]
+    steps = 0
+    while todo:
+        if not steps & 63 and stop_at is not None and time.monotonic() > stop_at:
+            raise _Deadline
+        steps += 1
+        phi, w, local, e = todo.pop()
+        kind = type(phi)
+        if kind is Pred:
+            i = 0
+            for a in phi.args:
+                i = i * size + (local[a.id] if type(a) is Var else local[a.name])
+            tables[phi.name].setdefault(i, []).append(w)
+        elif kind is And:
+            todo.append((phi.right, w, local, 0))
+            todo.append((phi.left, w, local, 0))
+        elif kind is Diam:
+            parent.append(w)
+            todo.append((phi.body, len(parent) - 1, local, 0))
+        elif kind is All:
+            # one element at a time; where the variable is not free in
+            # the body, every element makes the same subtree, made once
+            if e + 1 < size and phi.var in fv(phi.body):
+                todo.append((phi, w, local, e + 1))
+            todo.append((phi.body, w, {**local, phi.var: e}, 0))
+    return parent, tables
+
+
 def _no_countermodel(
-    seq: Sequent,
-    size: int,
-    stop_at: float | None,
+    seq: Sequent, size: int, stop_at: float | None,
     valuations: Callable[[int, int], Iterable[list[int]]] = _labellings,
 ) -> bool:
     """True when the consequent holds at the root of the antecedent's
-    tree with `size` elements under each valuation that
+    `_tree` with `size` elements under each valuation that
     `valuations(k, size)` gives the sequent's k names, or False at the
     first valuation whose tree refutes the sequent.  Under every
     valuation up to relabelling (the default, `_labellings`), True shows
     that no countermodel has at most `size` elements (see the module
-    docstring).  Raises `_Deadline` once the clock passes `stop_at`,
-    read every 64 tree nodes, after each valuation, before each diamond
-    of the consequent and by `_evaluator`.
-
-    A tree's worlds are numbered in creation order from the root 0, and
-    `parent[u]` is the world whose diamond made u (-1 for the root): its
-    diamond marks ancestors.  With each atom kept once (`_Asserted`) and
-    one pending element per open quantifier, a tree takes memory linear
-    in its worlds and atoms, and none up front for a large `size`.
-    """
-    names: list[int | str] = [
-        *sorted(fv(seq.ante) | fv(seq.cons)),
-        *sorted(consts_of(seq.ante) | consts_of(seq.cons)),
-    ]
+    docstring).  Raises `_Deadline` once the clock passes `stop_at`, read
+    by `_tree` at each tree's first node and every 64th, before each
+    diamond of the consequent and by `_evaluator`."""
+    names = _names(seq)
 
     def diamond(bits: int) -> int:
-        # the proper ancestors of the worlds in bits, in time linear in
-        # the tree: each is marked once, and a marked world's ancestors
-        # are marked already
+        # the proper ancestors of the worlds in bits, each marked once: a
+        # marked world's ancestors are marked already, so linear in the tree
         if stop_at is not None and time.monotonic() > stop_at:
             raise _Deadline
         inner = format(bits, "b")[::-1]
@@ -476,42 +505,13 @@ def _no_countermodel(
             u = inner.find("1", u + 1)
         return int(marks[::-1].translate(_BITS), 2)
 
-    steps = 0
     for labels in valuations(len(names), size):
         env = dict(zip(names, labels))
-        tables: defaultdict[str, _Asserted] = defaultdict(_Asserted)
-        parent = [-1]
-        # e: the element that a quantifier binds next
-        todo: list[tuple[Formula, int, dict, int]] = [(seq.ante, 0, env, 0)]
-        while todo:
-            steps += 1
-            if steps % 64 == 0 and stop_at is not None and time.monotonic() > stop_at:
-                raise _Deadline
-            phi, w, local, e = todo.pop()
-            kind = type(phi)
-            if kind is Pred:
-                i = 0
-                for a in phi.args:
-                    i = i * size + (local[a.id] if type(a) is Var else local[a.name])
-                tables[phi.name].setdefault(i, []).append(w)
-            elif kind is And:
-                todo.append((phi.right, w, local, 0))
-                todo.append((phi.left, w, local, 0))
-            elif kind is Diam:
-                parent.append(w)
-                todo.append((phi.body, len(parent) - 1, local, 0))
-            elif kind is All:
-                # one element at a time; where the variable is not free in
-                # the body, every element makes the same subtree, made once
-                if e + 1 < size and phi.var in fv(phi.body):
-                    todo.append((phi, w, local, e + 1))
-                todo.append((phi.body, w, {**local, phi.var: e}, 0))
+        parent, tables = _tree(seq, size, env, stop_at)
         holds = _evaluator(size, (1 << len(parent)) - 1, tables,
                            diamond if len(parent) > 1 else None, stop_at)
         if not holds(seq.cons, env) & 1:
             return False
-        if stop_at is not None and time.monotonic() > stop_at:
-            raise _Deadline
     return True
 
 

@@ -56,8 +56,10 @@ from qrc1.search import (
     _axiom_leaf,
     _clears,
     _first_countermodel,
+    _names,
     _no_countermodel,
     _one_apart,
+    _tree,
     _verify_refutation,
 )
 
@@ -748,6 +750,44 @@ def test_decide_on_every_sequent_of_size_at_most_three():
 
 def _reference_hit(sig, goal, bounds):
     return any(hit is not None for hit in candidates_reference(sig, goal, bounds))
+
+
+def _atoms_per_world(parent, tables):
+    atoms = [[] for _ in parent]
+    for name, table in tables.items():
+        for i, worlds in table.items():
+            for w in worlds:
+                atoms[w].append((name, i))
+    return [sorted(a) for a in atoms]
+
+
+@pytest.mark.parametrize("text, size, labels, parent, atoms", [
+    # a vacuous quantifier makes one child at every size, under x's value
+    ("A y . <> P(x) ~> T", 1, [0], [-1, 0], [[], [("P", 0)]]),
+    ("A y . <> P(x) ~> T", 2, [1], [-1, 0], [[], [("P", 1)]]),
+    # one that binds its body's variable makes one child per element
+    ("A y . <> P(y) ~> T", 2, [], [-1, 0, 0], [[], [("P", 0)], [("P", 1)]]),
+    # a quantifier under a diamond asserts every element at the child
+    ("<> A x . P(x) ~> T", 1, [], [-1, 0], [[], [("P", 0)]]),
+    ("<> A x . P(x) ~> T", 2, [], [-1, 0], [[], [("P", 0), ("P", 1)]]),
+    # a constant's atom at the element it is valued at, at both worlds
+    ("P(c) & <> P(c) ~> T", 1, [0], [-1, 0], [[("P", 0)], [("P", 0)]]),
+    ("P(c) & <> P(c) ~> T", 2, [1], [-1, 0], [[("P", 1)], [("P", 1)]]),
+])
+def test_tree_pins_its_worlds_parents_and_atoms(text, size, labels, parent, atoms):
+    goal = seq(text)
+    names = _names(goal)
+    assert len(names) == len(labels)
+    got, tables = _tree(goal, size, dict(zip(names, labels)), None)
+    assert len(got) == len(parent)
+    assert got == parent
+    assert _atoms_per_world(got, tables) == atoms
+
+
+def test_tree_reads_the_clock_at_its_first_node():
+    goal = seq("<> P(x) ~> T")
+    with pytest.raises(_Deadline):
+        _tree(goal, 2, {_names(goal)[0]: 0}, time.monotonic() - 1)
 
 
 def test_no_countermodel_agrees_with_the_reference_enumerator():
