@@ -155,7 +155,8 @@ def _write(
     except OSError as e:
         # pointing stdout at os.devnull keeps the flush at exit from
         # raising again; a reader that went away needs no message
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
         if not isinstance(e, BrokenPipeError):
             print(f"qrc1: cannot write output: {e.strerror or e}", file=sys.stderr)
         return EX_IOERR

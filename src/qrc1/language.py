@@ -7,19 +7,18 @@ or box.  Variables are plain natural numbers (the concrete syntax in
 value comparing structurally: ``All(0, P(0))`` and ``All(1, P(1))`` are
 different formulas, and no alpha-equivalence is provided.
 
-A formula stores a few facts about itself the first time they are asked
-for, in slots set past the refusing `__setattr__`: its hash, its free
+A formula stores a few facts about itself the first time one is asked
+for, in slots set past the refusing `__setattr__`: its hash, and its free
 variables (`fv`), all its variables (`all_vars`) and its constants
-(`consts_of`).  So a repeated question costs one attribute read instead
-of a walk over the whole formula, and each answer lives exactly as long
-as its formula.  The stored hash is the hash of the tuple of the fields,
-the one every value class computes (see `_ValueType`), so storing it
-changes no equality, hash, `repr` or set order.  The stored sets are shared
-wherever they can be: a node whose set adds nothing to a child's stores
-the child's, and every empty set is one frozenset.  No tuple of
-subformulas is stored: one per formula costs more memory than the walks
-it saves (`subformulas` walks afresh each time).  The stored values hold
-for the running process only, and pickling a formula drops them.
+(`consts_of`), which one walk, `_facts`, computes together from its parts'
+stored sets.  So a repeated question costs one attribute read, and each
+answer lives exactly as long as its formula.  The stored hash is the hash
+of the tuple of the fields, as every value class computes it (see
+`_ValueType`), so storing it changes no equality, hash, `repr` or set
+order.  A node whose set adds nothing to a child's stores the child's, and
+every empty set is one frozenset.  No tuple of subformulas is stored: one
+per formula costs more memory than the walks it saves.  The stored values
+hold for the running process only, and pickling a formula drops them.
 
 The value classes of the package are built by `_ValueType`, not by the
 standard library's generator of such classes: importing that module loads
@@ -157,7 +156,7 @@ class _Formula(_Value):
     """Base of the formula classes: slots for the stored facts (see the
     module docstring), and weak references."""
 
-    __slots__ = ("_hash", "_fv", "_vars", "_consts", "__weakref__")
+    __slots__ = ("_hash", "_facts", "__weakref__")
 
 
 class Top(_Formula):
@@ -212,66 +211,49 @@ def _union(a: frozenset, b: frozenset) -> frozenset:
     return a | b
 
 
-def fv(phi: Formula) -> frozenset[int]:
-    """Free variables of a formula; a quantifier removes its own variable.
-    Stored on the formula (see the module docstring)."""
-    out = getattr(phi, "_fv", None)
-    if out is not None:
-        return out
-    if isinstance(phi, Pred):
-        out = all_vars(phi)
-    elif isinstance(phi, And):
-        out = _union(fv(phi.left), fv(phi.right))
-    elif isinstance(phi, Diam):
-        out = fv(phi.body)
-    elif isinstance(phi, All):
-        out = fv(phi.body)
-        if phi.var in out:
-            out = out - {phi.var} or _EMPTY
+_NO_FACTS = (_EMPTY, _EMPTY, _EMPTY)
+
+
+def _facts(phi: Formula) -> tuple[frozenset[int], frozenset[int], frozenset[str]]:
+    """The formula's free variables, all its variables and its constants,
+    from its parts' on first use and stored on it (see the module
+    docstring)."""
+    facts = getattr(phi, "_facts", None)
+    if facts is not None:
+        return facts
+    kind = type(phi)
+    if kind is Pred:
+        names = frozenset({a.id for a in phi.args if type(a) is Var}) or _EMPTY
+        facts = names, names, frozenset({a.name for a in phi.args if type(a) is Const}) or _EMPTY
+    elif kind is And:
+        left, right = _facts(phi.left), _facts(phi.right)
+        facts = tuple(map(_union, left, right))
+    elif kind is Diam:
+        facts = _facts(phi.body)
+    elif kind is All:
+        free, names, consts = _facts(phi.body)
+        x = phi.var
+        facts = (free - {x} or _EMPTY if x in free else free,
+                 names if x in names else names | {x}, consts)
     else:
-        out = _EMPTY
-    object.__setattr__(phi, "_fv", out)
-    return out
+        facts = _NO_FACTS
+    object.__setattr__(phi, "_facts", facts)
+    return facts
+
+
+def fv(phi: Formula) -> frozenset[int]:
+    """Free variables of a formula; a quantifier removes its own variable."""
+    return _facts(phi)[0]
 
 
 def all_vars(phi: Formula) -> frozenset[int]:
-    """Every variable occurring in the formula, free or bound.  Stored on
-    the formula."""
-    out = getattr(phi, "_vars", None)
-    if out is not None:
-        return out
-    if isinstance(phi, Pred):
-        out = frozenset(a.id for a in phi.args if isinstance(a, Var)) or _EMPTY
-    elif isinstance(phi, And):
-        out = _union(all_vars(phi.left), all_vars(phi.right))
-    elif isinstance(phi, Diam):
-        out = all_vars(phi.body)
-    elif isinstance(phi, All):
-        out = all_vars(phi.body)
-        if phi.var not in out:
-            out = out | {phi.var}
-    else:
-        out = _EMPTY
-    object.__setattr__(phi, "_vars", out)
-    return out
+    """Every variable occurring in the formula, free or bound."""
+    return _facts(phi)[1]
 
 
 def consts_of(phi: Formula) -> frozenset[str]:
-    """Every constant name occurring in the formula.  Stored on the
-    formula."""
-    out = getattr(phi, "_consts", None)
-    if out is not None:
-        return out
-    if isinstance(phi, Pred):
-        out = frozenset(a.name for a in phi.args if isinstance(a, Const)) or _EMPTY
-    elif isinstance(phi, And):
-        out = _union(consts_of(phi.left), consts_of(phi.right))
-    elif isinstance(phi, (Diam, All)):
-        out = consts_of(phi.body)
-    else:
-        out = _EMPTY
-    object.__setattr__(phi, "_consts", out)
-    return out
+    """Every constant name occurring in the formula."""
+    return _facts(phi)[2]
 
 
 def occurs_const(c: str, phi: Formula) -> bool:

@@ -897,6 +897,22 @@ def test_a_failed_write_exits_74_with_one_line(unbuffered):
     )
 
 
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="needs /proc/self/fd and /dev/full")
+def test_a_failed_write_leaves_no_descriptor_open():
+    # the descriptor that points stdout at the null device is closed again
+    script = (
+        "import os, sys\n"
+        "from qrc1.cli import main\n"
+        "before = os.listdir('/proc/self/fd')\n"
+        "code = main(['decide', 'T ~> <> T', '--json'])\n"
+        "print(code, sorted(before) == sorted(os.listdir('/proc/self/fd')), file=sys.stderr)\n"
+    )
+    with open("/dev/full", "w") as full:
+        out = _python("-c", script, stdout=full)
+    assert out.stderr.splitlines()[-1] == "74 True", out.stderr
+
+
 def test_each_mode_serializes_only_the_form_it_prints(capsys, monkeypatch, trans_proof,
                                                       one_world):
     # --json prints one JSON document and builds no indented certificate;
