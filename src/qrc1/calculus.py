@@ -9,9 +9,11 @@ and premise shape, and returns the unique sequent the tree proves.
 A tree may share a subtree between several parents, so it is really a
 DAG.  `load_proof` builds one: equal subproofs of a proof file (the same
 rule, parameter texts and premise objects) load as one `Derivation`.
-The kernel concludes each distinct node once, in the post-order of its
-first occurrence, and reports a failure at the path of that occurrence,
-so the verdict and the error are those of the tree written out in full.
+One walk, `_walk`, visits each distinct node once, in the post-order of
+its first occurrence.  The kernel concludes each node there and reports a
+failure at the path of that occurrence, so the verdict and the error are
+those of the tree written out in full.  `used_signature` and `dump_proof`
+read the same walk; the written document shares one object per node.
 
 `check_proof`, behind `qrc1 check`, builds no `Derivation` at all: the
 loader hands each node, in post-order, to `_conclude` as it reads it,
@@ -23,10 +25,9 @@ that: it rejects an undeclared predicate or a wrong arity, and reads a
 name in term position as a declared constant or else a variable.  The
 constant of ConstE is read as a bare name, so that one is still looked
 up in the signature.  `check` keeps every check, for derivations built
-by hand.  Loading and checking run on
-explicit stacks, so neither depends on the recursion limit, and with
-the cyclic garbage collector paused (`_gc_paused`), since the data they
-build has no cycles.
+by hand.  Loading, checking and writing run on explicit stacks, so none
+depends on the recursion limit, and the first two pause the cyclic garbage
+collector (`_gc_paused`), since the data they build has no cycles.
 
 The six derived-rule builders at the bottom construct trees out of the
 ten primitive rules only; they never extend the trusted kernel.
@@ -66,7 +67,7 @@ from .syntax import SymbolTable
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from collections.abc import Callable, Sequence
+    from collections.abc import Callable, Iterator, Sequence
     from typing import Any
 
 # premise count, formula-parameter names, and extra parameters per rule tag
@@ -135,6 +136,8 @@ class ProofFormatError(ValueError):
 
 
 class Derivation(_Value):
+    __slots__ = ("_hash",)
+
     rule: str
     formulas: tuple[Formula, ...] = ()
     var: int | None = None
@@ -275,28 +278,34 @@ def conclusion(d: Derivation) -> Sequent:
         return _check(d, None)
 
 
-def _check(d: Derivation, sig: Signature | None) -> Sequent:
-    """Conclude every distinct node of `d` once, in the post-order of its
-    first occurrence, on an explicit stack.
-
-    `todo` holds nodes still to visit; a None entry marks the node below it
-    as one whose premises are being concluded, so the entries just below
-    the Nones are the ancestors of the node at hand.
-    """
-    # both keyed by id: `d` keeps every node and formula alive, so no id is reused
-    done: dict[int, Sequent] = {}
-    formed: set[int] = set()
-    constants = sig.constants if sig is not None else None
+def _walk(d: Derivation) -> Iterator[tuple[Derivation, list[Derivation | None]]]:
+    """Each distinct node of `d` once, after its premises, in the post-order
+    of its first occurrence, with the stack `todo` of nodes still to visit.
+    On it a None entry marks the node below it as one whose premises are
+    being visited, so those nodes are the ancestors of the one yielded."""
+    # keyed by id: `d` keeps every node alive, so no id is reused
+    seen: set[int] = set()
     todo: list[Derivation | None] = [d]
     while todo:
         node = todo.pop()
         if node is None:
             node = todo.pop()
-        elif id(node) in done:
+        elif id(node) in seen:
             continue
         elif node.premises:
             todo += (node, None, *node.premises[::-1])
             continue
+        seen.add(id(node))
+        yield node, todo
+
+
+def _check(d: Derivation, sig: Signature | None) -> Sequent:
+    """Conclude every node of `_walk(d)` in turn."""
+    # both keyed by id: `d` keeps every node and formula alive, so no id is reused
+    done: dict[int, Sequent] = {}
+    formed: set[int] = set()
+    constants = sig.constants if sig is not None else None
+    for node, todo in _walk(d):
         try:
             if sig is not None:
                 _check_parameters(sig, formed, node)
@@ -309,8 +318,8 @@ def _check(d: Derivation, sig: Signature | None) -> Sequent:
 
 def _path(todo: list[Derivation | None], node: Derivation) -> tuple[int, ...]:
     """Premise indices from the root to `node`, read off its ancestors on
-    `_check`'s stack.  Where a premise repeats, the first copy is the one
-    being concluded: the second is visited only once the first is done."""
+    `_walk`'s stack.  Where a premise repeats, the first copy is the one
+    being visited: the second is visited only once the first is done."""
     chain = [todo[i - 1] for i, entry in enumerate(todo) if entry is None]
     chain.append(node)
     return tuple(
@@ -480,16 +489,13 @@ def used_signature(sig: Signature, d: Derivation) -> Signature:
     """`sig` extended with every constant the derivation names, such as
     the reserved constants proof search introduces."""
     used: set[str] = set()
-    stack = [d]
-    while stack:
-        node = stack.pop()
+    for node, _ in _walk(d):
         if node.const is not None:
             used.add(node.const)
         for f in node.formulas:
             used |= consts_of(f)
         if isinstance(node.term, Const):
             used.add(node.term.name)
-        stack.extend(node.premises)
     extra = used - sig.constants
     if not extra:
         return sig
@@ -506,35 +512,26 @@ class LoadedProof(_Value):
 
 
 def dump_proof(d: Derivation, sig: Signature, table: SymbolTable | None = None) -> dict[str, Any]:
-    """Serialize a derivation to the JSON proof-file structure."""
+    """Serialize a derivation to the JSON proof-file structure.  Each
+    distinct node becomes one object, which every occurrence shares."""
     table = table or SymbolTable()
-    return {
-        "signature": syntax.signature_to_json(sig),
-        "proof": _dump_node(d, sig, table),
-    }
+    out: dict[int, dict[str, Any]] = {}
+    for node, _ in _walk(d):
+        params: dict[str, Any] = {name: syntax.format_formula(f, table, sig)
+                                  for name, f in zip(_RULES[node.rule][1], node.formulas)}
+        if node.var is not None:
+            params["x"] = table.name_of(node.var, sig.constants)
+        if node.term is not None:
+            params["t"] = syntax.format_term(node.term, table, sig)
+        if node.const is not None:
+            params["c"] = node.const
+        out[id(node)] = {"rule": node.rule, "params": params,
+                         "premises": [out[id(p)] for p in node.premises]}
+    return {"signature": syntax.signature_to_json(sig), "proof": out[id(d)]}
 
 
 def dumps_proof(d: Derivation, sig: Signature, table: SymbolTable | None = None) -> str:
     return json.dumps(dump_proof(d, sig, table), indent=2)
-
-
-def _dump_node(d: Derivation, sig: Signature, table: SymbolTable) -> dict[str, Any]:
-    _, f_names, _ = _RULES[d.rule]
-    params: dict[str, Any] = {
-        name: syntax.format_formula(f, table, sig)
-        for name, f in zip(f_names, d.formulas)
-    }
-    if d.var is not None:
-        params["x"] = table.name_of(d.var, sig.constants)
-    if d.term is not None:
-        params["t"] = syntax.format_term(d.term, table, sig)
-    if d.const is not None:
-        params["c"] = d.const
-    return {
-        "rule": d.rule,
-        "params": params,
-        "premises": [_dump_node(p, sig, table) for p in d.premises],
-    }
 
 
 def load_proof(data: str | dict[str, Any]) -> LoadedProof:

@@ -710,11 +710,11 @@ class _ProofSearch:
         return None
 
     def _fresh_const(self, ante: Formula, cons: Formula) -> str:
-        """The first of ``k0``, ``k1``, ... that neither the signature nor
-        the goal names.  Only this move adds one to a goal, so a goal
-        frozen below depth n holds at most n - 2 of them, and the name is
-        among the first n that the signature does not declare."""
-        used = consts_of(ante) | consts_of(cons) | self.sig.constants
+        """The first of ``k0``, ``k1``, ... that neither the goal nor the
+        signature names, as a constant or a predicate.  Only this move adds
+        one to a goal, so a goal frozen below depth n holds at most n - 2 of
+        them, and the name is among the first n that the signature does not."""
+        used = consts_of(ante) | consts_of(cons) | self.sig.constants | self.sig.predicates.keys()
         return next(name for name in (f"k{i}" for i in count()) if name not in used)
 
 

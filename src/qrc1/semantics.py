@@ -234,8 +234,10 @@ def check_adequacy(raw: RawModel) -> AdequacyReport:
 
 
 def validate_model(raw: RawModel) -> Model:
-    """Check a raw model's adequacy and return it as a `Model`; raises
-    `InadequateModelError` with the failing report if it is not adequate."""
+    """Check a raw model's interpretations, then its adequacy, and return it
+    as a `Model`; raises `ModelFormatError` naming an ill-formed
+    interpretation, or `InadequateModelError` with the failing report."""
+    _validate_interps(raw)
     report = check_adequacy(raw)
     if not report.ok:
         raise InadequateModelError(report)

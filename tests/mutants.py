@@ -27,6 +27,11 @@ _SMALL_SCOPE = "tests/test_small_scope_soundness.py::"
 _RULE_SOUNDNESS = _SMALL_SCOPE + "test_every_rule_instance_is_locally_sound"
 _DERIVED_SOUNDNESS = _SMALL_SCOPE + "test_every_derived_rule_instance_is_checked_and_sound"
 _CERTIFICATES = "tests/test_certificates.py"
+_KERNEL = "tests/test_kernel.py::"
+_CLI = "tests/test_cli.py::"
+_SEMANTICS = "tests/test_semantics.py::"
+_AGREES = _KERNEL + "test_loader_and_kernel_agree_with_the_references"
+_NOT_AN_OBJECT = _KERNEL + "test_a_mapping_that_is_not_a_dict_is_not_an_object"
 
 MUTANTS = [
     # the kernel's side conditions (calculus._conclude)
@@ -83,6 +88,50 @@ MUTANTS = [
            "        if (\"const\" in extras) != (self.const is not None):\n",
            "        if False:\n",
            (_CALCULUS + "test_derivation_parameters_enforced_at_construction",)),
+    Mutant("const-e-undeclared-constant", "calculus.py",
+           "    if constants is not None and const not in constants:\n",
+           "    if False:\n",
+           (_KERNEL + "test_a_constant_name_loads_and_an_undeclared_one_is_ill_formed",)),
+    # the one walk over a derivation (calculus._walk)
+    Mutant("walk-visits-every-occurrence", "calculus.py",
+           "elif id(node) in seen:",
+           "elif False:",
+           (_KERNEL + "test_every_walk_over_a_derivation_visits_each_distinct_node_once",
+            _KERNEL + "test_a_shared_node_is_concluded_once")),
+    # the type tests of the proof-file reader, in its fast path (calculus._Loader.load)
+    # and where a node the fast path did not read is read again (calculus._Loader.node)
+    Mutant("reader-fast-path-node-type", "calculus.py",
+           "read = (type(obj) is dict and",
+           "read = (True and",
+           (_NOT_AN_OBJECT,)),
+    Mutant("reader-fast-path-params-type", "calculus.py",
+           "and type(params) is dict and",
+           "and True and",
+           (_NOT_AN_OBJECT, _AGREES)),
+    Mutant("reader-fast-path-premises-type", "calculus.py",
+           "type(raw) is list",
+           "True",
+           (_AGREES,)),
+    Mutant("reader-fast-path-constant-name", "calculus.py",
+           "(not has_c or syntax.is_name(const))",
+           "True",
+           (_AGREES,)),
+    Mutant("reader-node-type", "calculus.py",
+           "        if not isinstance(obj, dict):\n",
+           "        if False:\n",
+           (_NOT_AN_OBJECT, _AGREES)),
+    Mutant("reader-params-type", "calculus.py",
+           "        if not isinstance(params, dict):\n",
+           "        if False:\n",
+           (_NOT_AN_OBJECT, _AGREES)),
+    Mutant("reader-premises-type", "calculus.py",
+           "        if not isinstance(raw_premises, list):\n",
+           "        if False:\n",
+           (_AGREES,)),
+    Mutant("reader-constant-name", "calculus.py",
+           "            if not syntax.is_name(const):\n",
+           "            if False:\n",
+           (_KERNEL + "test_the_constant_parameter_must_be_a_constant_name", _AGREES)),
     # the guards of the derived rules (calculus)
     Mutant("all-instantiate-free-for", "calculus.py",
            "    if not freefor(phi, x, t):\n"
@@ -116,6 +165,11 @@ MUTANTS = [
            "{a.id for a in phi.args if type(a) is Var}",
            "{a.id for a in phi.args[:-1] if type(a) is Var}",
            (_LANGUAGE + "test_fv_union_over_subformulas",)),
+    # a checked model's interpretations (semantics.validate_model)
+    Mutant("validate-model-skips-the-interpretations", "semantics.py",
+           "    _validate_interps(raw)\n    report = check_adequacy(raw)\n",
+           "    report = check_adequacy(raw)\n",
+           (_SEMANTICS + "test_validate_model_rejects_an_ill_formed_interpretation",)),
     # the re-verification of a countermodel (search._verify_refutation)
     Mutant("verify-refutation-irreflexive", "search.py",
            "    if any(a == b for (a, b) in frame.rel):\n",
@@ -145,6 +199,11 @@ MUTANTS = [
            "        return None\n",
            "    return _proofs(seq, sig, bounds, _stop_at(bounds))\n",
            (_SEARCH + "test_proof_search_gives_up_at_its_deadline",)),
+    Mutant("reserved-constant-may-name-a-predicate", "search.py",
+           "| self.sig.constants | self.sig.predicates.keys()",
+           "| self.sig.constants",
+           (_SEARCH + "test_proof_search_reserves_no_name_the_signature_declares_as_a_predicate",
+            _CLI + "test_decide_proves_with_a_reserved_constant_apart_from_the_predicates")),
     Mutant("one-apart-uses-a-second-element", "search.py",
            "    if d > 1:\n",
            "    if True:\n",
@@ -165,6 +224,7 @@ EQUIVALENT = [
            "    assert var is not None and const is not None\n",
            "",
            (),
-           "_conclude's one caller, _check, passes the fields of a Derivation, which "
-           "refuses a ConstE node without a variable or a constant"),
+           "_conclude's callers always pass a ConstE node's variable and constant: _check "
+           "the fields of a Derivation, which refuses a ConstE node without them, and "
+           "check_proof's reader those it requires of every ConstE node in the file"),
 ]

@@ -290,6 +290,19 @@ def test_adequate_output_is_pinned(capsys, one_world, tmp_path):
 # -- decide ------------------------------------------------------------
 
 
+def test_decide_proves_with_a_reserved_constant_apart_from_the_predicates(capsys, tmp_path):
+    # proof search reserves k1, since k0 is declared as a predicate
+    problem = "pred k0/1. pred P/1. pred S/2. A x . A y . (P(x) & T) ~> P(y)"
+    code, out, _ = run(capsys, "decide", problem, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["outcome"] == "Proved" and doc["signature"]["constants"] == ["k1"]
+    path = tmp_path / "proof.qpf"
+    path.write_text(out)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and out.strip() == "A x . A y . (P(x) & T) ~> P(y)"
+
+
 def test_decide_refutes_irreflexivity_with_a_one_world_model(capsys):
     code, out, err = run(
         capsys, "decide", "T ~> <> T",

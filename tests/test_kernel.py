@@ -3,9 +3,10 @@ kernel as the loader reads: agreement with the recursive references they
 replaced, sharing of repeated subproofs, depth, and the pause of the
 cyclic garbage collector."""
 
-import copy
 import gc
+import json
 import random
+import time
 from types import MappingProxyType
 
 import pytest
@@ -136,8 +137,10 @@ def _edits(doc):
 
 def _corrupted(doc, edits):
     """A copy of `doc` with `edits` made, each to the node it names in `doc`
-    (an edit inside premises that another edit drops is lost)."""
-    bad = copy.deepcopy(doc)
+    (an edit inside premises that another edit drops is lost).  Copied
+    through JSON text, so that, as in a proof file, every occurrence of a
+    node that `dump_proof` shares is an object of its own."""
+    bad = json.loads(json.dumps(doc))
     places = list(_places(bad))
     nodes = [container[key] for container, key in places]
     for i, key, value in edits:
@@ -317,6 +320,36 @@ def test_a_shared_node_is_concluded_once(monkeypatch):
     calls = 0
     checked = check_proof(dump_proof(d, SIG))
     assert (calls, checked.nodes, checked.depth) == (11, 2**11 - 1, 11)
+
+
+def test_every_walk_over_a_derivation_visits_each_distinct_node_once(monkeypatch):
+    calls = {"_conclude": 0, "consts_of": 0, "format_formula": 0}
+    for module, name in ((calculus, "_conclude"), (calculus, "consts_of"),
+                         (calculus.syntax, "format_formula")):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(module, name, counting)
+    # 2**13 - 1 occurrences of 13 distinct nodes, with one parameter formula
+    d = ax_refl(Pred("P", (Const("c"),)))
+    for _ in range(12):
+        d = and_intro(d, d)
+    check(d, SIG)
+    conclusion(d)
+    assert used_signature(SIG, d) is SIG
+    doc = dump_proof(d, SIG)
+    assert calls == {"_conclude": 26, "consts_of": 1, "format_formula": 1}
+    # each distinct node is written once, and every occurrence shares it
+    assert doc["proof"]["premises"][0] is doc["proof"]["premises"][1]
+    assert load_proof(json.loads(json.dumps(doc))).derivation == d
+    # at 40 levels, 2**41 - 1 occurrences
+    for _ in range(28):
+        d = and_intro(d, d)
+    for reader in (lambda: check(d, SIG), lambda: conclusion(d),
+                   lambda: used_signature(SIG, d), lambda: dump_proof(d, SIG), lambda: hash(d)):
+        started = time.perf_counter()
+        reader()
+        assert time.perf_counter() - started < 0.1
 
 
 def _diamonds(phi):

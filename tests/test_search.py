@@ -748,6 +748,39 @@ def test_decide_on_every_sequent_of_size_at_most_three():
                 assert out.model.frame == old[0].frame, goal
 
 
+def test_refute_finds_a_witness_as_small_as_the_reference_at_three_worlds():
+    # over the 900 sequents of size <= 3, every witness refute finds at three
+    # worlds and two elements has the world count and domain sizes of the
+    # reference's first hit; the frames are not compared, so the test holds
+    # for any enumeration order that finds a smallest witness first
+    sig = signature(["c"], {"P": 1})
+    small = small_formulas(3)
+    bounds = SearchBounds(3, 2)
+    sizes = []
+    for ante in small:
+        for cons in small:
+            goal = Sequent(ante, cons)
+            out = refute(sig, goal, bounds)
+            if not isinstance(out, Refuted):
+                continue
+            old = next(filter(None, candidates_reference(sig, goal, bounds)), None)
+            assert old is not None, goal
+            frame, first = out.model.frame, old[0].frame
+            assert (frame.worlds, frame.domains) == (first.worlds, first.domains), goal
+            sizes.append(frame.worlds)
+    assert (len(sizes), sizes.count(3)) == (610, 61)
+
+
+def test_proof_search_reserves_no_name_the_signature_declares_as_a_predicate():
+    # k0 is a predicate here, so the reserved constant of ConstE is k1, and
+    # the proof's signature extends the declared one
+    sig, goal = parse_problem("pred k0/1. pred P/1. A x . A y . (P(x) & T) ~> P(y)")
+    d = proof_search(goal, sig)
+    assert d is not None and d.rule == "ConstE"
+    ext = used_signature(sig, d)
+    assert ext.constants == frozenset({"k1"}) and check(d, ext) == goal
+
+
 def _reference_hit(sig, goal, bounds):
     return any(hit is not None for hit in candidates_reference(sig, goal, bounds))
 

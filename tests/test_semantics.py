@@ -27,7 +27,7 @@ from qrc1 import (
     xeq,
 )
 from qrc1.generate import GenBounds, generate_models, random_formula
-from qrc1.semantics import InadequateModelError
+from qrc1.semantics import InadequateModelError, ModelFormatError
 
 from conftest import (
     check_adequacy_reference,
@@ -122,6 +122,22 @@ def test_validate_model_raises_on_failure():
     raw = RawModel(PSIG, frame, ({"c": 0},) * 3, ({},) * 3)
     with pytest.raises(InadequateModelError):
         validate_model(raw)
+
+
+@pytest.mark.parametrize("const_interp, pred_interp, message", [
+    (({}, {"c": 0}), ({}, {}), "world 0: constant 'c' uninterpreted"),
+    (({"c": 0}, {"c": 5}), ({}, {}), "world 1: constant 'c' outside the domain"),
+    (({"c": 0}, {"c": 0}), ({"P": frozenset({(7,)})}, {}),
+     "world 0: tuple outside the domain for predicate 'P'"),
+], ids=["missing-constant", "constant-outside-the-domain", "tuple-outside-the-domain"])
+def test_validate_model_rejects_an_ill_formed_interpretation(const_interp, pred_interp, message):
+    # checked before adequacy: a missing constant would otherwise raise a
+    # KeyError, a constant outside its domain read as a concordance failure,
+    # and the tuple outside the domain come back as a Model
+    frame = RawFrame(2, frozenset({(0, 1)}), (1, 1), identity_eta((1, 1)))
+    with pytest.raises(ModelFormatError) as info:
+        validate_model(RawModel(PSIG, frame, const_interp, pred_interp))
+    assert str(info.value) == message
 
 
 def test_a_validated_model_is_the_raw_model_it_checked():
