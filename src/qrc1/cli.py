@@ -251,9 +251,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
     table, sig, seq, bounds = _problem(args)
     outcome = search.decide(seq, sig, bounds)
     if isinstance(outcome, search.Proved):
-        proof = calculus.dump_proof(
-            outcome.derivation, calculus.used_signature(sig, outcome.derivation), table
-        )
+        proof = calculus.dump_proof(outcome.derivation, outcome.sig, table)
         return _write(args, 0, {"outcome": "Proved", "proof": proof["proof"],
                                 "signature": proof["signature"]}, proof, "Proved")
     if isinstance(outcome, search.Refuted):

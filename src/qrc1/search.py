@@ -4,18 +4,18 @@ decision procedure that runs them in order.
 Countermodels are sought in the class that suffices for refutation:
 constant domain, identity compatibility functions, and an irreflexive
 transitive relation.  Candidates are enumerated in a fixed order, by
-increasing (world count, domain size), then relation bitmask, then
-predicate-table bitmasks with the rightmost slot varying fastest, and
-each is checked under the valuations of the sequent's free variables and
-constants up to relabelling, as the tree check below values them
-(`_labellings`), so any witness found is a reproducible golden output.
+increasing (world count, domain size), then relation bitmask, then the
+valuations of the sequent's free variables and constants up to
+relabelling, as the tree check below values them (`_labellings`), then
+predicate-table bitmasks with the rightmost slot varying fastest, so any
+witness found is a reproducible golden output.
 In this class a valuation of the variables is the same at every world,
 so one evaluator, `_evaluator`, checks candidates and the trees below
 alike on world bitmasks: a formula denotes the set of worlds where it
 holds, conjunction is bitwise and, a diamond gives the worlds with a
 successor in its body's set, and a quantifier ands its body's sets over
 the domain.  The evaluator reads the clock at a quantifier's first
-element and every 64th, enumeration also before every valuation, and
+element and every 64th, enumeration also before each table count, and
 the tree check at each tree's first node and every 64th and at each
 diamond.  A candidate's check is as untrusted as the rest of search: a
 hit is built as a `RawModel`, validated, and re-verified with `sat`.
@@ -168,6 +168,7 @@ class SearchBounds(_Value):
 
 class Proved(_Value):
     derivation: Derivation
+    sig: Signature  # the signature extended with the reserved constants it uses
 
 
 class Refuted(_Value):
@@ -296,10 +297,10 @@ def _first_countermodel(
     sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None = None
 ) -> tuple[RawModel, int, Assignment] | None:
     """The first candidate model in enumeration order with a world where
-    the antecedent holds and the consequent fails, with the first such
-    world and the first valuation of the sequent's names there, or None.
-    Raises `_Deadline` once the clock passes `stop_at`, read before every
-    valuation and by `_evaluator`.
+    the antecedent holds and the consequent fails: the first valuation
+    of the sequent's names with a hit, at its first tables with one and
+    their lowest such world, or None.  Raises `_Deadline` once the clock
+    passes `stop_at`, read before each table count and by `_evaluator`.
 
     The names are valued up to relabelling only, by `_labellings`.  At a
     fixed world count, domain size and relation, the counter below runs
@@ -322,57 +323,52 @@ def _first_countermodel(
         for size in range(1, bounds.max_domain + 1):
             # the first size walks the relations lazily and keeps them for the rest
             for rel, diam in _frames(n, seen) if size == 1 else seen:
-                # tables[name][i]: the worlds where the i-th tuple is in name.
-                # Bit k of the counter owns one (table, index, world bit) entry,
-                # the last slot taking the lowest bits, so counting up from the
-                # empty tables runs through them in `product` order with the
-                # rightmost slot fastest.  Each count toggles the entries of the
-                # bits it flips, each listed when first flipped.
-                tables = {name: defaultdict(int) for name in pred_names}
-                entries = ((tables[name], i, 1 << w) for w, name in reversed(slots)
-                           for i in range(size ** sig.predicates[name]))
-                owner: list[tuple[defaultdict[int, int], int, int]] = []
-                holds = _evaluator(size, full, tables, diam.__getitem__ if rel else None, stop_at)
-                last = 0
-                for counter in count():
-                    flips = (counter ^ last).bit_length()  # a run of low bits
-                    if flips > len(owner):
-                        owner.extend(islice(entries, 1))
+                for labels in _labellings(len(names), size):
+                    env = dict(zip(names, labels))
+                    # tables[name][i]: the worlds where the i-th tuple is in name.
+                    # Bit k of the counter owns one (table, index, world bit) entry,
+                    # the last slot taking the lowest bits, so counting up from the
+                    # empty tables runs through them in `product` order with the
+                    # rightmost slot fastest.  Each count toggles the entries of the
+                    # bits it flips, each listed when first flipped.
+                    tables = {name: defaultdict(int) for name in pred_names}
+                    entries = ((tables[name], i, 1 << w) for w, name in reversed(slots)
+                               for i in range(size ** sig.predicates[name]))
+                    owner: list[tuple[defaultdict[int, int], int, int]] = []
+                    holds = _evaluator(size, full, tables, diam.__getitem__ if rel else None,
+                                       stop_at)
+                    last = 0
+                    for counter in count():
+                        flips = (counter ^ last).bit_length()  # a run of low bits
                         if flips > len(owner):
-                            break  # past the last tables
-                    for row, i, bit in owner[:flips]:
-                        row[i] ^= bit
-                    last = counter
-                    hit: tuple[int, dict[int | str, int]] | None = None
-                    for labels in _labellings(len(names), size):
+                            owner.extend(islice(entries, 1))
+                            if flips > len(owner):
+                                break  # past the last tables
+                        for row, i, bit in owner[:flips]:
+                            row[i] ^= bit
+                        last = counter
                         if stop_at is not None and time.monotonic() > stop_at:
                             raise _Deadline
-                        env = dict(zip(names, labels))
                         bad = holds(seq.ante, env)
                         if bad:
                             bad &= ~holds(seq.cons, env)
-                        if bad:
-                            first = (bad & -bad).bit_length() - 1
-                            if hit is None or first < hit[0]:
-                                hit = (first, env)
-                                if first == 0:
-                                    break
-                    if hit is None:
-                        continue
-                    w, env = hit
-                    preds: list[dict[str, frozenset[tuple[int, ...]]]] = [
-                        {p: frozenset() for p in other_preds} for _ in range(n)
-                    ]
-                    for u, name in slots:  # each tuple decoded from its index
-                        digits = range(sig.predicates[name] - 1, -1, -1)
-                        preds[u][name] = frozenset(
-                            tuple(i // size ** j % size for j in digits)
-                            for i, worlds in tables[name].items() if worlds >> u & 1
-                        )
-                    frame = RawFrame(n, rel, (size,) * n, ((tuple(range(size)),) * n,) * n)
-                    cmap = {c: env.get(c, 0) for c in sig.constants}
-                    raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
-                    return raw, w, Assignment(w, 0, {x: env[x] for x in names if type(x) is int})
+                        if not bad:
+                            continue
+                        w = (bad & -bad).bit_length() - 1
+                        preds: list[dict[str, frozenset[tuple[int, ...]]]] = [
+                            {p: frozenset() for p in other_preds} for _ in range(n)
+                        ]
+                        for u, name in slots:  # each tuple decoded from its index
+                            digits = range(sig.predicates[name] - 1, -1, -1)
+                            preds[u][name] = frozenset(
+                                tuple(i // size ** j % size for j in digits)
+                                for i, worlds in tables[name].items() if worlds >> u & 1
+                            )
+                        frame = RawFrame(n, rel, (size,) * n, ((tuple(range(size)),) * n,) * n)
+                        cmap = {c: env.get(c, 0) for c in sig.constants}
+                        raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
+                        g = Assignment(w, 0, {x: env[x] for x in names if type(x) is int})
+                        return raw, w, g
     return None
 
 
@@ -738,13 +734,9 @@ def _axiom_leaf(ante: Formula, cons: Formula) -> Derivation | None:
     return None
 
 
-def _cut_candidates(ante: Formula, cons: Formula) -> list[Formula]:
-    out: list[Formula] = []
-    seen = {ante, cons}
-    for f in chain(subformulas(ante), subformulas(cons)):
-        if f not in seen:
-            seen.add(f)
-            out.append(f)
+def _cut_candidates(ante: Formula, cons: Formula) -> dict[Formula, None]:
+    out = dict.fromkeys(chain(subformulas(ante), subformulas(cons)))
+    del out[ante], out[cons]  # no axiom goal reaches here, so ante != cons
     return out
 
 
@@ -758,7 +750,7 @@ def _fresh_var(ante: Formula, cons: Formula) -> int:
 
 def _proofs(
     seq: Sequent, sig: Signature, bounds: SearchBounds, stop_at: float | None
-) -> Derivation | None:
+) -> Proved | None:
     """Iterative deepening: the first derivation found, re-checked, or
     None.  Raises `_Deadline` once the clock passes `stop_at`."""
     state = _ProofSearch(seq, sig, stop_at)
@@ -775,17 +767,19 @@ def proof_search(
     """Iterative-deepening backward search; any result re-checks to the
     goal sequent (under the signature extended with reserved constants)."""
     try:
-        return _proofs(seq, sig, bounds, _stop_at(bounds))
+        found = _proofs(seq, sig, bounds, _stop_at(bounds))
     except _Deadline:
         return None
+    return found.derivation if found else None
 
 
-def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Derivation:
-    """`d`, once the kernel re-checks it to `seq` under `sig` extended
-    with the constants it names, which are the reserved ones it uses."""
-    if check(d, used_signature(sig, d)) != seq:
+def _rechecked(d: Derivation, seq: Sequent, sig: Signature) -> Proved:
+    """`d` as Proved, once the kernel re-checks it to `seq` under `sig`
+    extended with the constants it names, which are the reserved ones it uses."""
+    proved = Proved(d, used_signature(sig, d))
+    if check(d, proved.sig) != seq:
         raise InternalError("proof search produced a non-checking derivation")
-    return d
+    return proved
 
 
 # -- the decision procedure --------------------------------------------
@@ -806,14 +800,14 @@ def decide(
     """
     leaf = _axiom_leaf(seq.ante, seq.cons)
     if leaf is not None:
-        return Proved(_rechecked(leaf, seq, sig))
+        return _rechecked(leaf, seq, sig)
     stop_at = _stop_at(bounds)
     try:
         cleared = _clears(seq, stop_at, bounds.max_domain)
         if cleared:
-            d = _proofs(seq, sig, bounds, stop_at)
-            if d is not None:
-                return Proved(d)
+            proved = _proofs(seq, sig, bounds, stop_at)
+            if proved is not None:
+                return proved
         found = _refutation(sig, seq, bounds, stop_at, cleared)
     except _Deadline:
         return Exhausted("deadline reached")

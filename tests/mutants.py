@@ -194,10 +194,10 @@ MUTANTS = [
            (_SEARCH + "test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out",)),
     Mutant("proof-search-ignores-its-deadline", "search.py",
            "    try:\n"
-           "        return _proofs(seq, sig, bounds, _stop_at(bounds))\n"
+           "        found = _proofs(seq, sig, bounds, _stop_at(bounds))\n"
            "    except _Deadline:\n"
            "        return None\n",
-           "    return _proofs(seq, sig, bounds, _stop_at(bounds))\n",
+           "    found = _proofs(seq, sig, bounds, _stop_at(bounds))\n",
            (_SEARCH + "test_proof_search_gives_up_at_its_deadline",)),
     Mutant("reserved-constant-may-name-a-predicate", "search.py",
            "| self.sig.constants | self.sig.predicates.keys()",

@@ -21,6 +21,7 @@ from qrc1 import (
     dumps_model,
     dumps_proof,
     signature,
+    used_signature,
 )
 from qrc1.cli import main
 
@@ -301,6 +302,35 @@ def test_decide_proves_with_a_reserved_constant_apart_from_the_predicates(capsys
     path.write_text(out)
     code, out, _ = run(capsys, "check", str(path))
     assert code == 0 and out.strip() == "A x . A y . (P(x) & T) ~> P(y)"
+
+
+def test_decide_prints_a_proof_under_the_signature_its_recheck_used(capsys, monkeypatch):
+    # the re-check's extended signature travels with the proof, so it is
+    # computed once, and the printed document is as before
+    calls = []
+
+    def counted(sig, d):
+        calls.append(d)
+        return used_signature(sig, d)
+
+    monkeypatch.setattr(qrc1.calculus, "used_signature", counted)
+    monkeypatch.setattr(qrc1.search, "used_signature", counted)
+    problem = "pred k0/1. pred P/1. pred S/2. A x . A y . (P(x) & T) ~> P(y)"
+    code, out, _ = run(capsys, "decide", problem, "--json")
+    assert (code, len(calls)) == (0, 1)
+    and_el = {"rule": "AndEl", "params": {"phi": "P(x2)", "psi": "T"}, "premises": []}
+    inner = {"rule": "AllIl", "params": {"phi": "P(x2) & T", "x": "y", "t": "x"},
+             "premises": [and_el]}
+    outer = {"rule": "AllIl", "params": {"phi": "A y . (P(x) & T)", "x": "x", "t": "x2"},
+             "premises": [inner]}
+    term_i = {"rule": "TermI", "params": {"x": "x2", "t": "k1"}, "premises": [outer]}
+    const_e = {"rule": "ConstE", "params": {"phi": "A x . A y . (P(x) & T)", "psi": "P(y)",
+                                            "x": "y", "c": "k1"},
+               "premises": [term_i]}
+    assert out.strip() == json.dumps({
+        "outcome": "Proved", "proof": const_e,
+        "signature": {"constants": ["k1"], "predicates": {"P": 1, "S": 2, "k0": 1}},
+    })
 
 
 def test_decide_refutes_irreflexivity_with_a_one_world_model(capsys):

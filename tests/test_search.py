@@ -333,12 +333,28 @@ def test_deadline_is_read_between_the_valuations_of_a_candidate():
     out, took = _elapsed(enumerate_countermodels, sig, goal, bounds)
     assert out is None
     assert took < 0.3 + DEADLINE_SLACK
-    # the enumeration alone, past the tree check: one candidate at domain 2
-    # has 2**16 valuations of its 17 names up to relabelling
+    # the enumeration alone, past the tree check: the first frame at domain
+    # 2 has 2**16 valuations of its 17 names up to relabelling, each
+    # counted through its tables
     start = time.monotonic()
     with pytest.raises(_Deadline):
         _first_countermodel(sig, goal, bounds, start + 0.3)
     assert time.monotonic() - start < 0.3 + DEADLINE_SLACK
+
+
+def test_enumeration_values_the_names_before_it_counts_the_tables():
+    # at one world and two elements, P empty refutes the sequent under none
+    # of the 2**30 valuations of its 31 names up to relabelling, and P = {0}
+    # refutes it once y is set apart from the x's: valued first, the names
+    # reach that valuation second
+    text = "pred P/1. " + " & ".join(f"P(x{i})" for i in range(1, 31)) + " ~> P(y)"
+    sig, goal = parse_problem(text)
+    bounds = SearchBounds(deadline=1.0)
+    for out, took in (_elapsed(refute, sig, goal, bounds), _elapsed(decide, goal, sig, bounds)):
+        assert isinstance(out, Refuted), out
+        assert (out.model.frame.worlds, out.model.frame.domains) == (1, (2,))
+        assert took < 0.1
+        _verify_refutation(out.model, out.world, out.assignment, goal)
 
 
 def test_decide_proves_a_sequent_with_many_names_before_the_full_tree_check():
@@ -714,14 +730,17 @@ def test_first_countermodel_agrees_with_the_reference_enumerator():
     for text, _ in BATTERY:
         _assert_first_hits_agree(BATTERY_SIG, parse_sequent(text, BATTERY_SIG), SearchBounds(2, 2))
     rng = random.Random(4)
-    for sig, bounds, count in (
-        (signature(["c"], {"P": 1}), SearchBounds(2, 2), 130),
-        (signature([], {"P": 1}), SearchBounds(3, 2), 6),
-        (signature([], {"S": 2}), SearchBounds(2, 2), 10),
+    # with three variables and a constant, a frame at two elements has up to
+    # 8 valuations
+    for sig, bounds, pool, count in (
+        (signature(["c"], {"P": 1}), SearchBounds(2, 2), (0, 1), 130),
+        (signature([], {"P": 1}), SearchBounds(3, 2), (0, 1), 6),
+        (signature([], {"S": 2}), SearchBounds(2, 2), (0, 1), 10),
+        (signature(["c"], {"P": 1}), SearchBounds(2, 2), (0, 1, 2), 200),
     ):
         for _ in range(count):
-            ante = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
-            cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
+            ante = random_formula(rng, sig, pool, rng.randint(0, 3))
+            cons = random_formula(rng, sig, pool, rng.randint(0, 3))
             _assert_first_hits_agree(sig, Sequent(ante, cons), bounds)
 
 
