@@ -6,9 +6,9 @@ constant domain, identity compatibility functions, and an irreflexive
 transitive relation.  Candidates are enumerated in a fixed order, by
 increasing (world count, domain size), then relation bitmask, then the
 valuations of the sequent's free variables and constants up to
-relabelling, as the tree check below values them (`_labellings`), then
-predicate-table bitmasks with the rightmost slot varying fastest, so any
-witness found is a reproducible golden output.
+relabelling (`_labellings`), then predicate-table bitmasks with the
+rightmost slot varying fastest, so any witness found is a reproducible
+golden output.
 In this class a valuation of the variables is the same at every world,
 so one evaluator, `_evaluator`, checks candidates and the trees below
 alike on world bitmasks: a formula denotes the set of worlds where it
@@ -16,13 +16,12 @@ holds, conjunction is bitwise and, a diamond gives the worlds with a
 successor in its body's set, and a quantifier ands its body's sets over
 the domain.  The evaluator reads the clock at a quantifier's first
 element and every 64th, enumeration also before each table count, and
-the tree check at each tree's first node and every 64th and at each
-diamond.  A candidate's check is as untrusted as the rest of search: a
-hit is built as a `RawModel`, validated, and re-verified with `sat`.
+a tree's check at its first node and every 64th and at each diamond.
+A candidate's check is as untrusted as the rest of search: a hit is
+built as a `RawModel`, validated, and re-verified with `sat`.
 
-Before enumerating, `_no_countermodel` may show that no model of the
-class with at most `max_domain` elements refutes the sequent, whatever
-its world count.  The argument:
+Enumeration counts tables only under the valuations whose tree, built
+by `_refutes`, refutes the sequent.  The argument:
 
 - Strictly positive formulas move forward along any map h between two
   models of the class with the same domain and valuation that is the
@@ -51,27 +50,28 @@ its world count.  The argument:
   preserves every formula, by induction, a quantifier ranging over e in
   place of e'.  So a countermodel with d elements gives one with d + 1
   elements and the same valuation: refutability only grows with d.
-- Put the other way round: if the consequent holds at the root of every
-  such tree for d = max_domain, no countermodel exists within
-  `max_domain` elements at any world count.  Renaming the elements is
-  an isomorphism, so v is needed only up to relabelling: one valuation
-  per set partition of the names into at most d blocks.
+- Put the other way round: if the consequent holds at the root of the
+  tree for d and v, no countermodel with d elements has valuation v, at
+  any world count.  Renaming the elements is an isomorphism, so v is
+  needed only up to relabelling: one valuation per set partition of the
+  names into at most d blocks.
 
-The check yields no certificate, but its verdict settles which half
-of the search can succeed.  A tree that clears the sequent lets
-`decide` and `refute` skip enumeration.  A tree that refutes it is an
-adequate model where the sequent fails, so by soundness no derivation
-exists, and `decide` skips proof search.
+So at one world enumeration puts each valuation to its tree, and counts
+tables only under those that it refutes; past one world it tries only
+these.  When no tree with at most `max_domain` elements refutes, no
+countermodel has that many elements, and enumeration ends at one world.
+A tree that refutes is an adequate model where the sequent fails, so by
+soundness no derivation exists.
 
-The two-element check, `_clears`, builds these trees at two elements
-(one when `max_domain` is 1) and only under the valuations that set at
-most one name apart (`_one_apart`): k + 1 trees for k names, where every
-two-element valuation would be 2^(k-1).  `decide` and `refute` run it on
-the root, and proof search on the goals it meets: a goal that a tree
-refutes has no derivation, so search never expands it and finds the
-proof it would find without the check.  Each goal below the root is
-checked once, when first met with more than two levels of depth left
-(with two, its expansion is axiom tests alone, cheaper than the check).
+The two-element check, `_clears`, builds the trees at two elements only
+under the valuations that set at most one name apart (`_one_apart`):
+k + 1 trees for k names, where every two-element valuation would be
+2^(k-1).  `decide` runs it on the root, and proof search on the goals it
+meets: a goal that a tree refutes has no derivation, so search never
+expands it and finds the proof it would find without the check.  Each
+goal below the root is checked once, when first met with more than two
+levels of depth left (with two, its expansion is axiom tests alone,
+cheaper than the check).
 
 Proof search runs backward over the ten rules with iterative deepening.
 It is best effort: cut formulas are drawn from the goal's subformulas,
@@ -80,15 +80,12 @@ variables, and constants for the constant-elimination move from the
 names ``k0``, ``k1``, ... that the signature does not declare.  Whatever
 it returns is re-checked by the kernel.
 
-`decide` and `refute` share one pipeline, each step run to its end.
-`decide` proves an axiom instance at once, and `refute` answers that it
-has no countermodel; otherwise both run the two-element check on the
-root, and `decide` runs proof search on a root that it clears.  Both end
-in one refutation step, `_refutation`: a root that the check cleared goes
-to the tree check at `max_domain`, and a root that either check refutes
-to enumeration, which returns its first hit.  A two-element refutation
-gives one with `max_domain` elements, by the copying argument above, and
-no derivation, by soundness.
+`decide` and `refute` share one refutation step, `_refutation`:
+enumeration, its hit re-verified.  `decide` proves an axiom instance at
+once, and `refute` answers that it has no countermodel.  Otherwise
+`refute` runs the refutation step alone, and `decide` runs the
+two-element check on the root, proof search if it clears the root, and
+then the refutation step.
 """
 
 from __future__ import annotations
@@ -96,7 +93,7 @@ from __future__ import annotations
 import math
 import time
 from collections import defaultdict
-from itertools import chain, count, islice
+from itertools import chain, compress, count, islice
 
 from .calculus import (
     Derivation,
@@ -295,20 +292,25 @@ def _evaluator(size: int, full: int, tables: dict,
 
 def _first_countermodel(
     sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None = None
-) -> tuple[RawModel, int, Assignment] | None:
+) -> tuple[RawModel, int, Assignment] | bool | None:
     """The first candidate model in enumeration order with a world where
     the antecedent holds and the consequent fails: the first valuation
     of the sequent's names with a hit, at its first tables with one and
-    their lowest such world, or None.  Raises `_Deadline` once the clock
-    passes `stop_at`, read before each table count and by `_evaluator`.
+    their lowest such world.  Else None, or False when no tree refutes
+    the sequent, so no countermodel has at most `max_domain` elements.
+    Raises `_Deadline` once the clock passes `stop_at`, read before each
+    table count, by `_refutes` and by `_evaluator`.
 
     The names are valued up to relabelling only, by `_labellings`.  At a
     fixed world count, domain size and relation, the counter below runs
     through every predicate table, and renaming the elements turns any
     countermodel into one whose valuation is a restricted growth string;
-    constants that the sequent does not name take element 0.  So the
-    first (world count, domain size, relation) with a countermodel is the
-    first with a hit.  A `RawModel` is built only for a hit.
+    constants that the sequent does not name take element 0.  A valuation
+    whose tree clears the sequent has no countermodel of its size on any
+    frame, so each is put to `_refutes` once, at one world, and tried past
+    one world only if kept.  So the first (world count, domain size,
+    relation) with a countermodel is the first with a hit.  A `RawModel`
+    is built only for a hit.
     """
     pred_names = sorted(
         {f.name for f in chain(subformulas(seq.ante), subformulas(seq.cons))
@@ -316,15 +318,25 @@ def _first_countermodel(
     )
     other_preds = [p for p in sig.predicates if p not in pred_names]
     names = _names(seq)
+    # kept[size]: a flag per valuation in `_labellings` order up to the last
+    # whose tree refutes, set where it does (a list of them could take GBs)
+    kept: defaultdict[int, bytearray] = defaultdict(bytearray)
     for n in range(1, bounds.max_worlds + 1):
         full = (1 << n) - 1
         slots = [(w, name) for w in range(n) for name in pred_names]
         seen: list[tuple[frozenset[tuple[int, int]], list[int]]] = []
-        for size in range(1, bounds.max_domain + 1):
+        sizes = range(1, bounds.max_domain + 1) if n == 1 else list(kept)
+        for size in sizes:
             # the first size walks the relations lazily and keeps them for the rest
-            for rel, diam in _frames(n, seen) if size == 1 else seen:
-                for labels in _labellings(len(names), size):
+            for rel, diam in _frames(n, seen) if size == sizes[0] else seen:
+                valuations = _labellings(len(names), size)
+                for i, labels in enumerate(
+                        valuations if n == 1 else compress(valuations, kept[size])):
                     env = dict(zip(names, labels))
+                    if n == 1:
+                        if not _refutes(seq, size, env, stop_at):
+                            continue
+                        kept[size] += bytes(i - len(kept[size])) + b"\1"
                     # tables[name][i]: the worlds where the i-th tuple is in name.
                     # Bit k of the counter owns one (table, index, world bit) entry,
                     # the last slot taking the lowest bits, so counting up from the
@@ -337,16 +349,14 @@ def _first_countermodel(
                     owner: list[tuple[defaultdict[int, int], int, int]] = []
                     holds = _evaluator(size, full, tables, diam.__getitem__ if rel else None,
                                        stop_at)
-                    last = 0
                     for counter in count():
-                        flips = (counter ^ last).bit_length()  # a run of low bits
+                        flips = (counter & -counter).bit_length()  # a run of low bits
                         if flips > len(owner):
                             owner.extend(islice(entries, 1))
                             if flips > len(owner):
                                 break  # past the last tables
                         for row, i, bit in owner[:flips]:
                             row[i] ^= bit
-                        last = counter
                         if stop_at is not None and time.monotonic() > stop_at:
                             raise _Deadline
                         bad = holds(seq.ante, env)
@@ -369,6 +379,8 @@ def _first_countermodel(
                         raw = RawModel(sig, frame, (cmap,) * n, tuple(preds))
                         g = Assignment(w, 0, {x: env[x] for x in names if type(x) is int})
                         return raw, w, g
+        if not kept:
+            return False
     return None
 
 
@@ -396,16 +408,14 @@ def _labellings(k: int, d: int) -> Iterator[list[int]]:
 _BITS = bytes.maketrans(b"\0\1", b"01")  # 0/1 flags to binary digits
 
 
-def _one_apart(k: int, d: int) -> Iterator[list[int]]:
-    """The valuations of k names in at most two of the d elements that
-    set at most one name apart: all names equal, then, when d >= 2, each
-    name alone, as restricted growth strings without repeats: k + 1 of
-    them for k >= 3, where for k <= 2 setting the first name apart
-    repeats another."""
+def _one_apart(k: int) -> Iterator[list[int]]:
+    """The valuations of k names in two elements that set at most one
+    name apart: all names equal, then each name alone, as restricted
+    growth strings without repeats: k + 1 of them for k >= 3, where for
+    k <= 2 setting the first name apart repeats another."""
     yield [0] * k
-    if d > 1:
-        for i in range(0 if k > 2 else 1, k):
-            yield [int((j == i) != (i == 0)) for j in range(k)]
+    for i in range(0 if k > 2 else 1, k):
+        yield [int((j == i) != (i == 0)) for j in range(k)]
 
 
 class _Asserted(dict):
@@ -470,20 +480,14 @@ def _tree(seq: Sequent, size: int, env: dict, stop_at: float | None) -> tuple[li
     return parent, tables
 
 
-def _no_countermodel(
-    seq: Sequent, size: int, stop_at: float | None,
-    valuations: Callable[[int, int], Iterable[list[int]]] = _labellings,
-) -> bool:
-    """True when the consequent holds at the root of the antecedent's
-    `_tree` with `size` elements under each valuation that
-    `valuations(k, size)` gives the sequent's k names, or False at the
-    first valuation whose tree refutes the sequent.  Under every
-    valuation up to relabelling (the default, `_labellings`), True shows
-    that no countermodel has at most `size` elements (see the module
-    docstring).  Raises `_Deadline` once the clock passes `stop_at`, read
-    by `_tree` at each tree's first node and every 64th, before each
-    diamond of the consequent and by `_evaluator`."""
-    names = _names(seq)
+def _refutes(seq: Sequent, size: int, env: dict, stop_at: float | None) -> bool:
+    """True when the consequent fails at the root of the antecedent's
+    `_tree` with `size` elements under `env`, which shows a countermodel
+    with `size` elements; False shows that no countermodel has `size`
+    elements and valuation `env` (see the module docstring).  Raises
+    `_Deadline` once the clock passes `stop_at`, read by `_tree` at the
+    first node and every 64th, before each diamond of the consequent and
+    by `_evaluator`."""
 
     def diamond(bits: int) -> int:
         # the proper ancestors of the worlds in bits, each marked once: a
@@ -501,14 +505,10 @@ def _no_countermodel(
             u = inner.find("1", u + 1)
         return int(marks[::-1].translate(_BITS), 2)
 
-    for labels in valuations(len(names), size):
-        env = dict(zip(names, labels))
-        parent, tables = _tree(seq, size, env, stop_at)
-        holds = _evaluator(size, (1 << len(parent)) - 1, tables,
-                           diamond if len(parent) > 1 else None, stop_at)
-        if not holds(seq.cons, env) & 1:
-            return False
-    return True
+    parent, tables = _tree(seq, size, env, stop_at)
+    holds = _evaluator(size, (1 << len(parent)) - 1, tables,
+                       diamond if len(parent) > 1 else None, stop_at)
+    return not holds(seq.cons, env) & 1
 
 
 # Neither the two elements nor the valuations are a setting.  On the first
@@ -520,13 +520,14 @@ def _no_countermodel(
 # these k + 1 for k names.  All 2^(k-1) of them cost more than the search
 # they save on goals with many names: a 12-name sequent went from proved
 # in 0.3 s to past a 2 s deadline.
-def _clears(seq: Sequent, stop_at: float | None, max_domain: int = 2) -> bool:
-    """The two-element check: the antecedent's trees at two elements (one
-    when `max_domain` is 1), under `_one_apart`.  False shows a
-    countermodel within `max_domain` elements, since refutability only
-    grows with the domain size, and by soundness that no derivation
-    exists.  Proof search, which needs only the latter, keeps the default."""
-    return _no_countermodel(seq, min(2, max_domain), stop_at, _one_apart)
+def _clears(seq: Sequent, stop_at: float | None) -> bool:
+    """The two-element check: False when the antecedent's tree with two
+    elements refutes the sequent under one of the `_one_apart`
+    valuations, which shows a countermodel and, by soundness, that no
+    derivation exists."""
+    names = _names(seq)
+    return not any(_refutes(seq, 2, dict(zip(names, labels)), stop_at)
+                   for labels in _one_apart(len(names)))
 
 
 def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> None:
@@ -543,19 +544,16 @@ def _verify_refutation(model: Model, w: int, g: Assignment, seq: Sequent) -> Non
 
 
 def _refutation(
-    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None, cleared: bool
+    sig: Signature, seq: Sequent, bounds: SearchBounds, stop_at: float | None
 ) -> Refuted | Exhausted | None:
-    """The refutation step, given the two-element check's verdict.  A
-    sequent that it cleared goes to the tree check at `max_domain`, and
-    None means that this check cleared it too.  Otherwise a tree has
-    refuted the sequent, and the step returns `_first_countermodel`'s
-    hit, validated and re-verified with `sat`, or Exhausted if every
-    countermodel needs more worlds than the bounds allow."""
-    if cleared and _no_countermodel(seq, bounds.max_domain, stop_at):
-        return None
+    """The refutation step: `_first_countermodel`'s hit, validated and
+    re-verified with `sat`; None when no tree with at most `max_domain`
+    elements refutes the sequent, so no countermodel has that many; or
+    Exhausted when one does but every countermodel needs more worlds than
+    the bounds allow."""
     hit = _first_countermodel(sig, seq, bounds, stop_at)
-    if hit is None:
-        return Exhausted(
+    if not hit:
+        return None if hit is False else Exhausted(
             f"refutable, but every countermodel with at most {bounds.max_domain} "
             f"element(s) needs more than {bounds.max_worlds} world(s)"
         )
@@ -570,17 +568,15 @@ def refute(
 ) -> Refuted | Exhausted:
     """The first constant-domain irreflexive countermodel in enumeration
     order, its names valued up to relabelling, or Exhausted, saying what
-    ended the search: the deadline, a tree showing that no countermodel
-    has at most `bounds.max_domain` elements (then enumeration is
-    skipped), or, when a tree refutes the sequent, a world bound too small
-    for any countermodel.  An axiom instance, which by soundness has none,
-    is answered before any tree; otherwise it runs the two-element check,
-    then the refutation step."""
+    ended the search: the deadline, the trees showing that no
+    countermodel has at most `bounds.max_domain` elements, or, when a tree
+    refutes the sequent, a world bound too small for any countermodel.
+    An axiom instance, which by soundness has none, is answered before
+    any tree; otherwise it runs the refutation step."""
     if _axiom_leaf(seq.ante, seq.cons) is not None:
         return Exhausted("no countermodel within bounds")
-    stop_at = _stop_at(bounds)
     try:
-        found = _refutation(sig, seq, bounds, stop_at, _clears(seq, stop_at, bounds.max_domain))
+        found = _refutation(sig, seq, bounds, _stop_at(bounds))
     except _Deadline:
         return Exhausted("deadline reached")
     return found or Exhausted("no countermodel within bounds")
@@ -790,25 +786,25 @@ def decide(
 ) -> SearchOutcome:
     """Prove an axiom instance at once, its one-step proof re-checked;
     otherwise run the two-element check on the root, proof search if it
-    clears the root, and the refutation step that `refute` ends in.
+    clears the root, and the refutation step that `refute` runs.
 
-    A tree that refutes the root is an adequate model where the sequent
-    fails, so by soundness no derivation exists and proof search is
-    skipped.  With no proof, the refutation step's tree check at
-    `max_domain` may clear the sequent, which shows that the bounds hold
-    no countermodel either.  Both certificates are re-verified.
+    A two-element tree that refutes the root is an adequate model where
+    the sequent fails, so by soundness no derivation exists and proof
+    search is skipped, whatever `max_domain` is.  With no proof, the
+    refutation step's trees may clear the sequent at every domain size up
+    to `max_domain`, which shows that the bounds hold no countermodel
+    either.  Both certificates are re-verified.
     """
     leaf = _axiom_leaf(seq.ante, seq.cons)
     if leaf is not None:
         return _rechecked(leaf, seq, sig)
     stop_at = _stop_at(bounds)
     try:
-        cleared = _clears(seq, stop_at, bounds.max_domain)
-        if cleared:
+        if _clears(seq, stop_at):
             proved = _proofs(seq, sig, bounds, stop_at)
             if proved is not None:
                 return proved
-        found = _refutation(sig, seq, bounds, stop_at, cleared)
+        found = _refutation(sig, seq, bounds, stop_at)
     except _Deadline:
         return Exhausted("deadline reached")
     return found or Exhausted(

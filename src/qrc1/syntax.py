@@ -70,9 +70,9 @@ class SymbolTable:
     """Bijection between variable identifiers and variable numbers.
 
     Parsing interns identifiers in order of first appearance; printing
-    looks names up, generating an unused one when a number was never
-    seen.  Sharing one table between printing and parsing makes the
-    round trip exact.
+    looks names up, and keeps a new unused one for a number never seen
+    or named as a constant to avoid.  Sharing one table between printing
+    and parsing makes the round trip exact.
     """
 
     def __init__(self) -> None:
@@ -92,8 +92,9 @@ class SymbolTable:
         return vid
 
     def name_of(self, vid: int, avoid: frozenset[str] = frozenset()) -> str:
-        if vid in self._names:
-            return self._names[vid]
+        name = self._names.get(vid)
+        if name is not None and name not in avoid:
+            return name
         name = f"x{vid}"
         while name in self._ids or name in avoid or name in _RESERVED:
             name += "_"

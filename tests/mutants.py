@@ -187,11 +187,56 @@ MUTANTS = [
            "    if not (_sat(model, w, g, seq.ante) and not _sat(model, w, g, seq.cons)):\n",
            "    if False:\n",
            (_SEARCH + "test_verify_refutation_rejects_a_bad_witness",)),
-    # search: the steps of decide, and the trees' valuations
-    Mutant("refutation-skips-the-tree-check", "search.py",
-           "    if cleared and _no_countermodel(seq, bounds.max_domain, stop_at):\n",
-           "    if False:\n",
-           (_SEARCH + "test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out",)),
+    # search: enumeration's one loop over the valuations (search._first_countermodel)
+    Mutant("enumeration-values-the-names-once", "search.py",
+           "valuations = _labellings(len(names), size)",
+           "valuations = iter([[0] * len(names)])",
+           (_SEARCH + "test_first_countermodel_agrees_with_the_reference_enumerator",
+            _SEARCH + "test_decide_on_every_sequent_of_size_at_most_three")),
+    Mutant("enumeration-counts-under-every-valuation", "search.py",
+           "if not _refutes(seq, size, env, stop_at):",
+           "if False:",
+           (_SEARCH + "test_enumeration_counts_tables_only_under_the_valuations_whose_tree_"
+            "refutes",
+            _SEARCH + "test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out")),
+    Mutant("enumeration-misplaces-the-kept-valuations", "search.py",
+           "bytes(i - len(kept[size])) + b\"\\1\"",
+           "b\"\\1\"",
+           (_SEARCH + "test_first_countermodel_agrees_with_the_reference_enumerator",)),
+    Mutant("enumeration-visits-every-size-past-one-world", "search.py",
+           "range(1, bounds.max_domain + 1) if n == 1 else list(kept)",
+           "range(1, bounds.max_domain + 1)",
+           (_SEARCH + "test_enumeration_past_one_world_reads_the_clock_at_the_sizes_that_kept_"
+            "a_valuation",)),
+    Mutant("enumeration-goes-past-one-world-with-no-refuting-tree", "search.py",
+           "        if not kept:\n            return False\n",
+           "",
+           (_SEARCH + "test_decide_runs_the_tree_to_its_verdict_when_the_depths_run_out",
+            _SEARCH + "test_decide_answers_a_valid_sequent_past_proof_search_by_bounds")),
+    # search: proof search prunes the goals that a two-element tree refutes
+    Mutant("pruning-reads-the-check-the-wrong-way-round", "search.py",
+           "if not _clears(Sequent(ante, cons), self.stop_at):",
+           "if _clears(Sequent(ante, cons), self.stop_at):",
+           (_SEARCH + "test_pruning_changes_no_proof",)),
+    Mutant("pruning-checks-no-goal", "search.py",
+           "if depth > 2 and path and goal not in self.cleared:",
+           "if False:",
+           (_SEARCH + "test_pruning_changes_no_proof",
+            _SEARCH + "test_pruning_cuts_the_search_to_a_pinned_size")),
+    Mutant("pruning-checks-at-every-depth", "search.py",
+           "if depth > 2 and path and goal not in self.cleared:",
+           "if path and goal not in self.cleared:",
+           (_SEARCH + "test_pruning_cuts_the_search_to_a_pinned_size",)),
+    Mutant("pruning-forgets-the-cleared-goals", "search.py",
+           "            self.cleared.add(goal)\n",
+           "",
+           (_SEARCH + "test_pruning_changes_no_proof",)),
+    Mutant("pruning-records-no-refuted-goal", "search.py",
+           "                self.memo[goal] = math.inf\n",
+           "",
+           (_SEARCH + "test_pruning_changes_no_proof",
+            _SEARCH + "test_pruning_cuts_the_search_to_a_pinned_size")),
+    # search: the steps of decide
     Mutant("proof-search-ignores-its-deadline", "search.py",
            "    try:\n"
            "        found = _proofs(seq, sig, bounds, _stop_at(bounds))\n"
@@ -204,10 +249,6 @@ MUTANTS = [
            "| self.sig.constants",
            (_SEARCH + "test_proof_search_reserves_no_name_the_signature_declares_as_a_predicate",
             _CLI + "test_decide_proves_with_a_reserved_constant_apart_from_the_predicates")),
-    Mutant("one-apart-uses-a-second-element", "search.py",
-           "    if d > 1:\n",
-           "    if True:\n",
-           (_SEARCH + "test_one_apart_keeps_to_the_element_of_a_one_element_domain",)),
     # what a certificate prints (cli, semantics.dump_model)
     Mutant("certificate-names-the-next-world", "cli.py",
            "\"world\": world,",

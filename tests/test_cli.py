@@ -304,6 +304,22 @@ def test_decide_proves_with_a_reserved_constant_apart_from_the_predicates(capsys
     assert code == 0 and out.strip() == "A x . A y . (P(x) & T) ~> P(y)"
 
 
+@pytest.mark.parametrize("problem, text", [
+    ("pred P/1. A x . A k0 . (P(x) & T) ~> P(k0)", "A x . A x1 . (P(x) & T) ~> P(x1)"),
+    ("pred P/1. pred Q/1. A x . A y . (P(x) & Q(k0)) ~> P(y) & Q(k0)",
+     "A x . A y . (P(x) & Q(x2)) ~> P(y) & Q(x2)"),
+])
+def test_decide_prints_a_variable_named_like_a_reserved_constant_under_a_fresh_name(
+        capsys, problem, text):
+    # proof search freezes the variable k0 as the reserved constant k0, so
+    # the proof prints the variable under a fresh name, and it checks
+    code, out, _ = run(capsys, "decide", problem, "--json")
+    assert code == 0 and json.loads(out)["signature"]["constants"] == ["k0"]
+    checked = qrc1.check_proof(out)
+    assert checked.error is None
+    assert qrc1.format_sequent(checked.sequent, checked.table) == text
+
+
 def test_decide_prints_a_proof_under_the_signature_its_recheck_used(capsys, monkeypatch):
     # the re-check's extended signature travels with the proof, so it is
     # computed once, and the printed document is as before

@@ -56,9 +56,10 @@ from qrc1.search import (
     _axiom_leaf,
     _clears,
     _first_countermodel,
+    _labellings,
     _names,
-    _no_countermodel,
     _one_apart,
+    _refutes,
     _tree,
     _verify_refutation,
 )
@@ -333,9 +334,8 @@ def test_deadline_is_read_between_the_valuations_of_a_candidate():
     out, took = _elapsed(enumerate_countermodels, sig, goal, bounds)
     assert out is None
     assert took < 0.3 + DEADLINE_SLACK
-    # the enumeration alone, past the tree check: the first frame at domain
-    # 2 has 2**16 valuations of its 17 names up to relabelling, each
-    # counted through its tables
+    # the enumeration alone: at one world and domain 2 it puts 2**16
+    # valuations of its 17 names up to relabelling to their trees
     start = time.monotonic()
     with pytest.raises(_Deadline):
         _first_countermodel(sig, goal, bounds, start + 0.3)
@@ -355,6 +355,45 @@ def test_enumeration_values_the_names_before_it_counts_the_tables():
         assert (out.model.frame.worlds, out.model.frame.domains) == (1, (2,))
         assert took < 0.1
         _verify_refutation(out.model, out.world, out.assignment, goal)
+
+
+def test_enumeration_counts_tables_only_under_the_valuations_whose_tree_refutes(monkeypatch):
+    # y is the first name, and of the sequent's 13 names up to relabelling
+    # only the last valuation, y apart from every x, has a tree that
+    # refutes: each valuation is put to its tree, the one at one element
+    # and the 2**12 at two, and only that one is counted through its tables
+    from qrc1 import search
+
+    text = ("pred P/1. pred Q/1. Q(y) & " + " & ".join(f"P(x{i})" for i in range(1, 13))
+            + " ~> P(y)")
+    sig, goal = parse_problem(text)
+    built = {"_evaluator": 0, "_refutes": 0}
+    for name in built:
+        def counted(*args, name=name, real=getattr(search, name)):
+            built[name] += 1
+            return real(*args)
+        monkeypatch.setattr(search, name, counted)
+    hit = _first_countermodel(sig, goal, SearchBounds())
+    # each tree builds one evaluator, the tables the rest
+    assert (built["_refutes"], built["_evaluator"] - built["_refutes"]) == (4097, 1)
+    assert (hit[0].frame.worlds, hit[0].frame.domains) == (1, (2,))
+    for out in (refute(sig, goal), decide(goal, sig)):
+        assert isinstance(out, Refuted), out
+        assert (out.model.frame.worlds, out.model.frame.domains) == (1, (2,))
+        _verify_refutation(out.model, out.world, out.assignment, goal)
+
+
+def test_enumeration_past_one_world_reads_the_clock_at_the_sizes_that_kept_a_valuation():
+    # no one-element tree refutes, a two-element one does, and its chain of
+    # six worlds fits no frame of five: past one world enumeration walks
+    # the 2**20 relation masks of five worlds at two elements alone, where
+    # it reads the clock before each table count; at one element, with no
+    # valuation to count tables under, it would read none
+    sig, goal = parse_problem("pred P/1. A x . <> P(x) & <> <> <> <> <> T ~> <> A x . P(x)")
+    bounds = SearchBounds(max_worlds=5, max_domain=2, deadline=1.0)
+    out, took = _elapsed(refute, sig, goal, bounds)
+    assert out == Exhausted("deadline reached")
+    assert took < 1.0 + DEADLINE_SLACK
 
 
 def test_decide_proves_a_sequent_with_many_names_before_the_full_tree_check():
@@ -458,7 +497,7 @@ def test_decide_proves_an_axiom_instance_before_any_tree(monkeypatch):
     assert isinstance(out, Proved) and out.derivation.rule == "Top"
     assert took < 0.25 + DEADLINE_SLACK
 
-    monkeypatch.setattr(search, "_no_countermodel", _no_tree)
+    monkeypatch.setattr(search, "_tree", _no_tree)
     for text in _AXIOMS:
         assert isinstance(decide(seq(text), SIG), Proved), text
 
@@ -467,7 +506,7 @@ def test_refute_answers_an_axiom_instance_before_any_tree(monkeypatch):
     # by soundness an axiom instance has no countermodel
     from qrc1 import search
 
-    monkeypatch.setattr(search, "_no_countermodel", _no_tree)
+    monkeypatch.setattr(search, "_tree", _no_tree)
     none = Exhausted("no countermodel within bounds")
     sig, goal = parse_problem(_AXIOM20)
     out, took = _elapsed(refute, sig, goal, SearchBounds(deadline=0.25))
@@ -717,7 +756,7 @@ def _assert_first_hits_agree(sig, goal, bounds):
     # the reference values every name in every way, enumeration only up to
     # relabelling: the first hits share their frame, not their tables
     old = next(filter(None, candidates_reference(sig, goal, bounds)), None)
-    new = _first_countermodel(sig, goal, bounds)
+    new = _first_countermodel(sig, goal, bounds) or None
     if old is None or new is None:
         assert old is new, goal
         return
@@ -842,6 +881,13 @@ def test_tree_reads_the_clock_at_its_first_node():
         _tree(goal, 2, {_names(goal)[0]: 0}, time.monotonic() - 1)
 
 
+def _trees_clear(goal, size):
+    # the tree verdict at one domain size: no valuation's tree refutes
+    names = _names(goal)
+    return not any(_refutes(goal, size, dict(zip(names, labels)), None)
+                   for labels in _labellings(len(names), size))
+
+
 def test_no_countermodel_agrees_with_the_reference_enumerator():
     # the tree check may refute where the reference cannot, with a witness
     # past its world bound, but never clears a sequent the reference refutes
@@ -858,7 +904,7 @@ def test_no_countermodel_agrees_with_the_reference_enumerator():
             cons = random_formula(rng, sig, (0, 1), rng.randint(0, 3))
             checked.append((sig, Sequent(ante, cons), bounds))
     for sig, goal, bounds in checked:
-        clear = _no_countermodel(goal, bounds.max_domain, None)
+        clear = _trees_clear(goal, bounds.max_domain)
         refuted = _reference_hit(sig, goal, bounds)
         assert not (clear and refuted), goal
         futile += clear
@@ -872,8 +918,8 @@ def test_no_countermodel_checks_every_domain_size():
     sig = signature([], {"P": 1})
     goal = parse_sequent("A x . <> P(x) ~> <> A x . P(x)", sig)
     one, two = SearchBounds(3, 1), SearchBounds(3, 2)
-    assert _no_countermodel(goal, one.max_domain, None) and not _reference_hit(sig, goal, one)
-    assert not _no_countermodel(goal, two.max_domain, None) and _reference_hit(sig, goal, two)
+    assert _trees_clear(goal, one.max_domain) and not _reference_hit(sig, goal, one)
+    assert not _trees_clear(goal, two.max_domain) and _reference_hit(sig, goal, two)
 
 
 def test_tree_verdict_is_monotone_in_the_domain_size():
@@ -889,7 +935,7 @@ def test_tree_verdict_is_monotone_in_the_domain_size():
         goals.append(Sequent(ante, cons))
     patterns = set()
     for goal in goals:
-        clear = [_no_countermodel(goal, d, None) for d in (1, 2, 3)]
+        clear = [_trees_clear(goal, d) for d in (1, 2, 3)]
         assert clear == sorted(clear, reverse=True), goal
         patterns.add(tuple(clear))
     # the first goal is refuted from three elements on, the others change
@@ -915,7 +961,7 @@ def test_tree_check_never_refutes_a_provable_sequent():
             proved += 1
     for goal in goals:
         for d in (1, 2, 3):
-            assert _no_countermodel(goal, d, None), (goal, d)
+            assert _trees_clear(goal, d), (goal, d)
         assert _clears(goal, None), goal
 
 
@@ -1026,8 +1072,8 @@ def test_pruning_builds_one_tree_per_name_apart(monkeypatch):
 
     built = []
 
-    def recording(k, d):
-        for labels in _one_apart(k, d):
+    def recording(k):
+        for labels in _one_apart(k):
             built.append(tuple(labels))
             yield labels
 
@@ -1043,11 +1089,8 @@ def test_pruning_builds_one_tree_per_name_apart(monkeypatch):
 
 
 def test_one_apart_keeps_to_the_element_of_a_one_element_domain():
-    # a one-element tree's quantifiers range over element 0 alone, so a
-    # name labelled 1 would be no element: the root check at max_domain 1
-    # would then refute this valid sequent (AllIl twice)
-    for k in range(6):
-        assert [list(labels) for labels in _one_apart(k, 1)] == [[0] * k]
+    # the root check builds its trees at two elements whatever max_domain
+    # is, so this valid sequent (AllIl twice) is proved at max_domain 1
     sig, goal = parse_problem("pred P/1. A x . P(x) ~> P(a) & P(b)")
     assert isinstance(decide(goal, sig, SearchBounds(max_domain=1)), Proved)
 
